@@ -4,15 +4,18 @@ Every subcommand builds one payload dict and renders it either as JSON or
 as flattened key=value lines (same data either way; values are JSON
 scalars). Exit codes: 0 success (or a true answer), 1 a false/negative
 answer with the detail in the payload, 2 input errors, 3 exhausted
-budgets.
+budgets, 4 internal errors (a failed self-check, or an output stream that
+closed before the payload was written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import catalog
 from .errors import BudgetExhausted
@@ -196,7 +199,7 @@ def cmd_verdict(args):
     group = group_from_spec(args.group)
     budget = args.budget or perm_mod.DEFAULT_AUT_NODE_BUDGET
     verdict = cp_mod.cp_group_verdict(group, args.p, budget)
-    payload = {"group": args.group, "p": args.p, **verdict.to_dict()}
+    payload = {"group": args.group, "p": args.p, **asdict(verdict)}
     return payload, 0 if verdict.status == cp_mod.IS_CP_GROUP else 1
 
 
@@ -266,7 +269,7 @@ def cmd_torus_cover(args):
 
 def cmd_chbili_q(args):
     answer = knot_mod.chbili_q(args.m, args.n, args.p)
-    return answer.to_dict(), 0 if answer.exists else 1
+    return asdict(answer), 0 if answer.exists else 1
 
 
 def cmd_components(args):
@@ -276,7 +279,7 @@ def cmd_components(args):
 
 def cmd_trefoil_obstruction(args):
     report = knot_mod.trefoil_even_obstruction(args.p)
-    return report.to_dict(), 0
+    return asdict(report), 0
 
 
 def cmd_out_obstruction(args):
@@ -284,13 +287,13 @@ def cmd_out_obstruction(args):
     report = knot_mod.complete_group_obstruction(
         presentation, assert_out_trivial=args.assert_out_trivial,
         p_max=args.p_max)
-    return {"presentation": str(presentation), **report.to_dict()}, 0
+    return {"presentation": str(presentation), **asdict(report)}, 0
 
 
 def cmd_s6(args):
     budget = args.budget or perm_mod.DEFAULT_AUT_NODE_BUDGET
     report = cp_mod.verify_s6_pipeline(args.p, budget)
-    return report.to_dict(), 0
+    return asdict(report), 0
 
 
 def cmd_e2_table(args):
@@ -432,7 +435,17 @@ def run(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render(payload, args.format))
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    try:
+        print(render(payload, args.format))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the exit-time flush would raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"internal error: output closed early: {exc}", file=sys.stderr)
+        return 4
     return code
 
 

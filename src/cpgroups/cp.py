@@ -272,10 +272,6 @@ class CpVerdict:
         if (self.status, self.reason) not in _VALID_VERDICTS:
             raise ValueError(f"invalid verdict {self.status}/{self.reason}")
 
-    def to_dict(self):
-        return {"status": self.status, "reason": self.reason,
-                "certificate": dict(self.certificate)}
-
 
 def cp_group_verdict(group, p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     """Decide whether the group is a C^p-group, where these criteria can.
@@ -371,21 +367,6 @@ class S6PipelineReport:
     aut_over_cp_index: int
     counting_contradiction: bool
     verdict: str
-
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "aut_order": self.aut_order,
-            "inner_order": self.inner_order,
-            "cp_of_aut_order": self.cp_of_aut_order,
-            "cp_equals_alternating_image": self.cp_equals_alternating_image,
-            "inner_contained_in_cp": self.inner_contained_in_cp,
-            "outer_order_10_exists": self.outer_order_10_exists,
-            "aut_over_inner_index": self.aut_over_inner_index,
-            "aut_over_cp_index": self.aut_over_cp_index,
-            "counting_contradiction": self.counting_contradiction,
-            "verdict": self.verdict,
-        }
 
 
 def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):

@@ -86,11 +86,6 @@ class LensSurgeryAnswer:
             if self.m - self.n * self.q != self.multiple * self.p:
                 raise ValueError("divisibility certificate fails")
 
-    def to_dict(self):
-        return {"m": self.m, "n": self.n, "p": self.p, "exists": self.exists,
-                "q": self.q, "q_inverse": self.q_inverse,
-                "multiple": self.multiple}
-
 
 def chbili_q(m, n, p):
     """Surgery coefficient for a torus knot preimage: q = m(1 - p p*)/n mod p,
@@ -130,9 +125,6 @@ class PipelineStep:
     passed: bool
     data: dict
 
-    def to_dict(self):
-        return {"name": self.name, "passed": self.passed, "data": dict(self.data)}
-
 
 @dataclass(frozen=True)
 class TrefoilObstructionReport:
@@ -140,12 +132,6 @@ class TrefoilObstructionReport:
     steps: tuple
     verdict: str
     assumptions: tuple
-
-    def to_dict(self):
-        return {"p": self.p,
-                "steps": [s.to_dict() for s in self.steps],
-                "verdict": self.verdict,
-                "assumptions": list(self.assumptions)}
 
 
 def trefoil_even_obstruction(p):
@@ -207,11 +193,6 @@ class OutObstructionReport:
     p_max: int
     entries: tuple
     verdict: str
-
-    def to_dict(self):
-        return {"assumption": self.assumption, "p_max": self.p_max,
-                "entries": [dict(e) for e in self.entries],
-                "verdict": self.verdict}
 
 
 def complete_group_obstruction(presentation, assert_out_trivial=False, p_max=6):

@@ -1,253 +1,50 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line with
-its measured runtime and asserting the stated budget.
+"""Acceptance suite: every `cpgroups verify` catalog item, run the way the
+CLI runs it, printing a PASS line with its measured runtime and asserting
+the item's budget.
 
-Timed criteria build their groups from raw generator lists (bypassing the
-cached named-group constructors), so the measured window really contains
-the advertised work, including the automorphism search of criterion 4.
+The named-group constructors are cached, so their caches are cleared before
+each timed item: the measured window then contains the real work, including
+the fresh automorphism search of `exA.s6`.
 """
 
-import random
 import time
-from math import gcd
 
-from cpgroups.cp import (cp_kernel_presentation, cp_subgroup,
-                         derived_p_series, verify_exact_sequence,
-                         verify_s6_pipeline)
-from cpgroups.errors import ConjugationNotInnerError
-from cpgroups.fp import abelianization, parse_presentation
-from cpgroups.homalg import (AbelianStructure, IntMatrix, TRIVIAL,
-                             cokernel_structure, cyclic, cyclic_homology,
-                             five_term_from_multiplication, lhs_e2_table,
-                             smith_normal_form, tensor_with_zp)
-from cpgroups.knot import (chbili_q, torus_preimage_exists,
-                           trefoil_even_obstruction)
-from cpgroups.perm import (Perm, PermGroup, alternating_group,
-                           aut_group_search, cyclic_group, direct_product,
-                           klein_four_group, symmetric_group, trivial_group)
+import pytest
 
-from oracles import minors_gcd
+import test_cp
+import test_homalg
+from cpgroups import catalog, perm
 
-TREFOIL = parse_presentation("< a, b | a^3 = b^2 >")
+NAMED_GROUP_CONSTRUCTORS = (perm.symmetric_group, perm.alternating_group,
+                            perm.cyclic_group, perm.dihedral_group,
+                            perm.klein_four_group, perm.trivial_group)
+
+PROPERTY_SUITES = (test_cp.test_cp_product_law,
+                   test_cp.test_cp_functoriality_under_surjections,
+                   test_cp.test_cp_characteristic_under_all_automorphisms,
+                   test_cp.test_exact_sequence_cases,
+                   test_homalg.test_snf_random_matrices_against_minor_gcd_oracle)
 
 
-def fresh_symmetric(n):
-    gens = [Perm.from_cycles(n, [[0, 1]]), Perm.from_cycles(n, [list(range(n))])]
-    return PermGroup(n, gens)
-
-
-def fresh_alternating(n):
-    three = Perm.from_cycles(n, [[0, 1, 2]])
-    if n % 2 == 1:
-        big = Perm.from_cycles(n, [list(range(n))])
-    else:
-        big = Perm.from_cycles(n, [list(range(1, n))])
-    return PermGroup(n, [three, big])
-
-
-def same_subgroup(a, b):
-    return a.degree == b.degree and a.order() == b.order() \
-        and all(g in a for g in b.generators)
-
-
-def report(number, label, elapsed, budget):
-    print(f"PASS criterion {number}: {label} ({elapsed:.2f}s < {budget:.0f}s)")
-    assert elapsed < budget, f"criterion {number} exceeded {budget}s: {elapsed:.2f}s"
-
-
-def test_criterion_1_symmetric_groups():
-    worst = 0.0
-    for n in range(3, 8):
-        for p in (1, 3, 5, 2, 4, 6):
-            start = time.perf_counter()
-            group = fresh_symmetric(n)
-            sub = cp_subgroup(group, p)
-            if p % 2 == 1:
-                assert same_subgroup(sub, group), (n, p)
-            else:
-                assert same_subgroup(sub, fresh_alternating(n)), (n, p)
-            worst = max(worst, time.perf_counter() - start)
-    report(1, f"C^p(S_n) for n in 3..7, worst case {worst:.3f}s", worst, 1.0)
-
-
-def test_criterion_2_alternating_groups():
-    worst = 0.0
-    for p in range(2, 9):
-        start = time.perf_counter()
-        a3 = cp_subgroup(fresh_alternating(3), p)
-        assert (a3.order() == 1) == (p % 3 == 0)
-        worst = max(worst, time.perf_counter() - start)
-
-        start = time.perf_counter()
-        a4 = cp_subgroup(fresh_alternating(4), p)
-        if p % 3 == 0:
-            assert same_subgroup(a4, klein_four_group())
-        else:
-            assert a4.order() == 12
-        worst = max(worst, time.perf_counter() - start)
-
-        for n in (5, 6, 7):
-            start = time.perf_counter()
-            group = fresh_alternating(n)
-            assert same_subgroup(cp_subgroup(group, p), group), (n, p)
-            worst = max(worst, time.perf_counter() - start)
-    report(2, f"C^p(A_n) table, worst case {worst:.3f}s", worst, 1.0)
-
-
-def test_criterion_3_cyclic_quotient_table():
+@pytest.mark.parametrize("item", catalog.CATALOG, ids=catalog.item_ids())
+def test_catalog_item(item):
+    for constructor in NAMED_GROUP_CONSTRUCTORS:
+        constructor.cache_clear()
     start = time.perf_counter()
-    for n in range(2, 25):
-        group = cyclic_group(n)
-        for p in range(1, 13):
-            sub = cp_subgroup(group, p)
-            assert group.order() // sub.order() == gcd(n, p), (n, p)
-            presented = cokernel_structure(IntMatrix([[n], [p]]))
-            assert presented == cyclic(gcd(n, p)), (n, p)
+    [result] = catalog.run([item.id])
     elapsed = time.perf_counter() - start
-    report(3, "Z_n quotient table, both routes, n<=24, p<=12", elapsed, 1.0)
-
-
-def test_criterion_4_s6_pipeline():
-    symmetric_group.cache_clear()
-    alternating_group.cache_clear()
-    start = time.perf_counter()
-    for p in (2, 4, 6):
-        rep = verify_s6_pipeline(p)
-        assert rep.aut_order == 1440
-        assert rep.cp_of_aut_order == 360
-        assert rep.cp_equals_alternating_image
-        assert rep.verdict == "NOT_CP_GROUP"
-    elapsed = time.perf_counter() - start
-    report(4, "Aut(S_6) search and operator image, p in {2,4,6}", elapsed, 60.0)
-
-
-def test_criterion_5_trefoil_pipeline():
-    start = time.perf_counter()
-    for p in (2, 4, 6):
-        rep = trefoil_even_obstruction(p)
-        assert rep.verdict == "OBSTRUCTED"
-        assert all(step.passed for step in rep.steps)
-        assert rep.steps[1].data["index"] == 6
-        assert rep.steps[2].data["checked"] == 6 * 2 - 6 + 1 == 7
-    elapsed = time.perf_counter() - start
-    report(5, "trefoil obstruction, all four steps, p in {2,4,6}", elapsed, 5.0)
-
-
-def test_criterion_6_torus_criterion_and_surgery_grid():
-    start = time.perf_counter()
-    for m in range(2, 13):
-        for n in range(2, 13):
-            if gcd(m, n) != 1:
-                continue
-            for p in range(2, 31):
-                exists = torus_preimage_exists(m, n, p)
-                assert exists == (gcd(m * n, p) == 1)
-                answer = chbili_q(m, n, p)
-                assert answer.exists == exists
-                if exists:
-                    assert (m - n * answer.q) % p == 0
-                    assert gcd(answer.q, p) == 1
-                    assert [q for q in range(1, p) if (m - n * q) % p == 0] \
-                        == [answer.q]
-    elapsed = time.perf_counter() - start
-    report(6, "torus criterion and surgery residues on the full grid", elapsed, 1.0)
-
-
-def test_criterion_7_derived_series():
-    start = time.perf_counter()
-    for p in (2, 3):
-        rep = derived_p_series(TREFOIL, p, 2)
-        assert rep.quotients == [cyclic(p), cyclic(p)], p
-    s3 = PermGroup(3, [Perm.from_cycles(3, [[0, 1]]),
-                       Perm.from_cycles(3, [[0, 1, 2]])])
-    rep = derived_p_series(s3, 6, 2)
-    assert [level.group.order() for level in rep.levels] == [3, 1]
-    elapsed = time.perf_counter() - start
-    report(7, "derived p-series of the trefoil group and of S_3", elapsed, 30.0)
-
-
-def test_criterion_8_cover_homology():
-    # hand oracle: knot polynomial t^2 - t + 1; multiplication by it on
-    # Z[t]/(1 + ... + t^(p-1)) written as an integer matrix, cokernel =
-    # branched cover torsion; the unbranched cover adds one free factor
-    oracle2 = cokernel_structure(IntMatrix([[3]]))
-    assert oracle2 == AbelianStructure(torsion=(3,))
-    oracle3 = cokernel_structure(IntMatrix([[0, -2], [2, 2]]))
-    assert oracle3 == AbelianStructure(torsion=(2, 2))
-
-    start = time.perf_counter()
-    got2 = abelianization(cp_kernel_presentation(TREFOIL, 2))
-    assert got2 == AbelianStructure(free_rank=1, torsion=oracle2.torsion)
-    got3 = abelianization(cp_kernel_presentation(TREFOIL, 3))
-    assert got3 == AbelianStructure(free_rank=1, torsion=oracle3.torsion)
-    elapsed = time.perf_counter() - start
-    report(8, "cover subgroup homology matches the hand oracle", elapsed, 5.0)
-
-
-def test_criterion_9_homology_tables():
-    start = time.perf_counter()
-    table = lhs_e2_table(3, 2, 5, s_max=6, t_max=6)
-    for k in range(7):
-        assert table.anti_diagonal(k) == cyclic_homology(30, k), k
-    assert five_term_from_multiplication(30) == (TRIVIAL, cyclic(30))
-    elapsed = time.perf_counter() - start
-    report(9, "second-page table reassembly and five-term resolution", elapsed, 1.0)
+    assert result["passed"], result["detail"]
+    print(f"PASS {item.id}: {result['detail']} "
+          f"({elapsed:.2f}s < {item.budget_s:.3g}s)")
+    assert elapsed < item.budget_s, \
+        f"{item.id} exceeded {item.budget_s:.3g}s: {elapsed:.2f}s"
 
 
 def test_criterion_10_property_suites():
     start = time.perf_counter()
-
-    # product law
-    for g, h in [(symmetric_group(3), cyclic_group(4)),
-                 (alternating_group(4), cyclic_group(6))]:
-        for p in (2, 3, 6):
-            combined = cp_subgroup(direct_product(g, h), p)
-            split = direct_product(cp_subgroup(g, p), cp_subgroup(h, p))
-            assert same_subgroup(combined, split)
-
-    # surjective functoriality through S_4 -> S_4 / V_4
-    from cpgroups.perm import quotient_regular_action
-    s4 = symmetric_group(4)
-    qa = quotient_regular_action(s4, klein_four_group())
-    for p in range(1, 7):
-        pushed = PermGroup(qa.group.degree,
-                           [qa.image_of(x) for x in cp_subgroup(s4, p).generators],
-                           degree_cap=None)
-        assert same_subgroup(pushed, cp_subgroup(qa.group, p))
-
-    # characteristic under every found automorphism
-    for group in [symmetric_group(3), alternating_group(4), cyclic_group(8)]:
-        aset = aut_group_search(group)
-        assert aset.complete
-        for p in (2, 3, 4):
-            sub = cp_subgroup(group, p)
-            for m in aset.maps:
-                assert all(aset.apply(m, x) in sub for x in sub.generators)
-
-    # exact sequence on the three listed cases
-    s3 = symmetric_group(3)
-    assert verify_exact_sequence(
-        direct_product(s3, cyclic_group(2)),
-        direct_product(s3, trivial_group(2))) is True
-    assert verify_exact_sequence(s3, s3) is True
-    try:
-        verify_exact_sequence(alternating_group(4), klein_four_group())
-        raise AssertionError("expected a precondition witness")
-    except ConjugationNotInnerError as exc:
-        assert exc.witness.order() == 3
-
-    # SNF minor-gcd oracle on 500 random matrices
-    rng = random.Random(500)
-    for _ in range(500):
-        r = rng.randint(1, 5)
-        c = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        u, d, v = smith_normal_form(IntMatrix(rows))
-        assert (u @ IntMatrix(rows) @ v) == d
-        prod = 1
-        for k, dk in enumerate(d.diagonal_entries(), start=1):
-            prod *= dk
-            assert prod == minors_gcd(rows, k)
-
+    for suite in PROPERTY_SUITES:
+        suite()
     elapsed = time.perf_counter() - start
-    report(10, "product law, functoriality, characteristic, exactness, SNF",
-           elapsed, 30.0)
+    print(f"PASS criterion 10: product law, functoriality, characteristic, "
+          f"exactness, SNF ({elapsed:.2f}s < 30s)")
+    assert elapsed < 30.0, f"criterion 10 exceeded 30s: {elapsed:.2f}s"

@@ -1,9 +1,17 @@
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cpgroups import cli
+from cpgroups import cli, cp
 from cpgroups.perm import klein_four_group
+
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, argv):
@@ -166,3 +174,55 @@ def test_text_and_json_carry_identical_data(capsys):
         text_out = capsys.readouterr().out.strip()
         expected = cli.render(payload, "text")
         assert text_out == expected, argv
+
+
+# every "$ cpgroups ..." line in docs/cli.md, its exit code and its JSON block
+DOC_EXAMPLES = re.findall(
+    r"^    \$ cpgroups ([^\n]+)\n    \(exit code (\d)\)\n\n```json\n(.*?)\n```",
+    (SRC.parent / "docs" / "cli.md").read_text(), re.M | re.S)
+
+
+@pytest.mark.parametrize("command, code, expected", DOC_EXAMPLES,
+                         ids=[example[0].split()[0] for example in DOC_EXAMPLES])
+def test_docs_examples_reproduce(capsys, command, code, expected):
+    assert cli.run(shlex.split(command)) == int(code)
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("pipeline step failed; this is a build bug")
+    monkeypatch.setattr(cp, "verify_s6_pipeline", broken)
+    assert cli.run(["s6", "--p", "2"]) == 4
+    assert "internal error: pipeline step failed" in capsys.readouterr().err
+
+
+def _child_env():
+    """Environment for a child interpreter that imports this checkout."""
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_verify_fails_loud_under_python_O():
+    script = ("import sys; from cpgroups import cli, knot; "
+              "knot.preimage_component_count = lambda p, c: 0; "
+              "sys.exit(cli.main(['verify', 'rem.components']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "items.0.passed=false" in proc.stdout
+
+
+def test_closed_stdout_is_internal_error():
+    # the child waits on stdin, so its stdout is closed before it writes
+    script = ("import sys; sys.stdin.read(); from cpgroups import cli; "
+              "sys.exit(cli.main(['order', '--group', 'S5']))")
+    proc = subprocess.Popen([sys.executable, "-c", script], env=_child_env(),
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()
+    proc.stdin.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 4
+    assert "Traceback" not in err and "output closed early" in err

@@ -249,15 +249,15 @@ def test_exact_sequence_cases():
 
 
 def test_s6_pipeline():
-    report = verify_s6_pipeline(2)
-    assert report.aut_order == 1440
-    assert report.cp_of_aut_order == 360
-    assert report.cp_equals_alternating_image
-    assert not report.inner_contained_in_cp
-    assert report.outer_order_10_exists
-    assert report.counting_contradiction
-    assert report.verdict == "NOT_CP_GROUP"
-    assert verify_s6_pipeline(4).cp_of_aut_order == 360
+    for p in (2, 4, 6):
+        report = verify_s6_pipeline(p)
+        assert report.aut_order == 1440
+        assert report.cp_of_aut_order == 360
+        assert report.cp_equals_alternating_image
+        assert not report.inner_contained_in_cp
+        assert report.outer_order_10_exists
+        assert report.counting_contradiction
+        assert report.verdict == "NOT_CP_GROUP"
     with pytest.raises(ValueError):
         verify_s6_pipeline(3)
     with pytest.raises(ValueError):

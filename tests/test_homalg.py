@@ -38,27 +38,28 @@ def test_snf_deterministic():
 
 
 def test_snf_random_matrices_against_minor_gcd_oracle():
-    rng = random.Random(20260810)
-    for _ in range(200):
-        r = rng.randint(1, 5)
-        c = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
-        m = IntMatrix(rows)
-        u, d, v = smith_normal_form(m)
-        assert (u @ m @ v) == d
-        assert abs(det_cofactor([list(x) for x in u.entries])) == 1
-        assert abs(det_cofactor([list(x) for x in v.entries])) == 1
-        diag = d.diagonal_entries()
-        for i in range(d.rows):
-            for j in range(d.cols):
-                if i != j:
-                    assert d[i, j] == 0
-        for a, b in zip(diag, diag[1:]):
-            assert b == 0 if a == 0 else b % a == 0
-        prod = 1
-        for k, dk in enumerate(diag, start=1):
-            prod *= dk
-            assert prod == minors_gcd(rows, k)
+    for seed, count in ((20260810, 200), (500, 500)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            r = rng.randint(1, 5)
+            c = rng.randint(1, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+            m = IntMatrix(rows)
+            u, d, v = smith_normal_form(m)
+            assert (u @ m @ v) == d
+            assert abs(det_cofactor([list(x) for x in u.entries])) == 1
+            assert abs(det_cofactor([list(x) for x in v.entries])) == 1
+            diag = d.diagonal_entries()
+            for i in range(d.rows):
+                for j in range(d.cols):
+                    if i != j:
+                        assert d[i, j] == 0
+            for a, b in zip(diag, diag[1:]):
+                assert b == 0 if a == 0 else b % a == 0
+            prod = 1
+            for k, dk in enumerate(diag, start=1):
+                prod *= dk
+                assert prod == minors_gcd(rows, k)
 
 
 def test_cokernel_examples():

@@ -107,6 +107,7 @@ def test_trefoil_obstruction_pipeline():
         assert all(s.passed for s in report.steps)
         assert report.steps[1].data["index"] == 6
         assert report.steps[2].data["schreier_generator_count"] == 7
+        assert report.steps[2].data["checked"] == 7
     with pytest.raises(ValueError):
         trefoil_even_obstruction(3)
     with pytest.raises(ValueError):
