@@ -14,17 +14,16 @@ from .perm import (AutomorphismSet, GroupAutomorphism, Perm, PermGroup,
                    QuotientAction, alternating_group, aut_group_search,
                    center, centralizer, commutator, cyclic_group,
                    derived_subgroup, dihedral_group, direct_product,
-                   format_cycles, group_order, is_complete,
-                   klein_four_group, membership, normal_closure,
-                   parse_cycles, quotient_regular_action, symmetric_group,
-                   trivial_group)
+                   format_cycles, is_complete, klein_four_group,
+                   normal_closure, parse_cycles, quotient_regular_action,
+                   symmetric_group, trivial_group)
 from .fp import (CosetTable, FpPresentation, Word, abelianization,
                  evaluate_word, kernel_coset_table, parse_presentation,
                  parse_word, reidemeister_schreier, todd_coxeter, verify_hom)
 from .cp import (CpVerdict, PSeriesLevel, PSeriesReport, S6PipelineReport,
-                 abelian_structure_of, cp_group_verdict,
-                 cp_kernel_coset_table, cp_kernel_presentation,
-                 cp_quotient_fp, cp_subgroup, derived_p_series,
+                 cp_group_verdict, cp_kernel_coset_table,
+                 cp_kernel_presentation, cp_quotient_fp, cp_quotient_perm,
+                 cp_subgroup, derived_p_series,
                  verify_exact_sequence, verify_s6_pipeline)
 from .knot import (LensSurgeryAnswer, OutObstructionReport, TorusKnotParams,
                    TrefoilObstructionReport, chbili_q,

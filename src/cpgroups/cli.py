@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 from . import catalog
 from .errors import BudgetExhausted
-from .homalg import IntMatrix, lhs_e2_table, smith_normal_form
+from .homalg import IntMatrix, cyclic, lhs_e2_table, smith_normal_form
 from . import cp as cp_mod
 from . import fp as fp_mod
 from . import knot as knot_mod
@@ -118,23 +118,11 @@ def _recognize(group, sub, spec):
         if sub.degree == 4 and sub.order() == 4 \
                 and sub.equals_subgroup(perm_mod.klein_four_group()):
             return "V4"
-    if sub.order() <= 500 and sub.is_abelian() \
-            and any(x.order() == sub.order() for x in sub.elements()):
+    # an abelian H has C^|H|(H) = 1, so this is the structure of H itself
+    if sub.is_abelian() \
+            and cp_mod.cp_quotient_perm(sub, sub.order()) == cyclic(sub.order()):
         return f"Z{sub.order()}"
     return None
-
-
-def _structure(s):
-    return s.as_dict()
-
-
-def _matrix_payload(m):
-    # bracketed row-list text form; the string is itself valid JSON
-    return str(m)
-
-
-def _presentation_arg(text):
-    return fp_mod.parse_presentation(text)
 
 
 def _subgroup_words(presentation, text):
@@ -164,27 +152,27 @@ def cmd_cp_subgroup(args):
 
 
 def cmd_cp_quotient(args):
-    presentation = _presentation_arg(args.presentation)
+    presentation = fp_mod.parse_presentation(args.presentation)
     structure = cp_mod.cp_quotient_fp(presentation, args.p)
     return {"presentation": str(presentation), "p": args.p,
-            "quotient": _structure(structure)}, 0
+            "quotient": structure.as_dict()}, 0
 
 
 def cmd_cp_kernel(args):
-    presentation = _presentation_arg(args.presentation)
+    presentation = fp_mod.parse_presentation(args.presentation)
     cap = args.budget or cp_mod.DEFAULT_SERIES_INDEX_CAP
     table = cp_mod.cp_kernel_coset_table(presentation, args.p, cap)
     sub = fp_mod.reidemeister_schreier(presentation, table)
     return {"presentation": str(presentation), "p": args.p,
             "index": table.index, "kernel_presentation": str(sub),
-            "kernel_abelianization": _structure(fp_mod.abelianization(sub))}, 0
+            "kernel_abelianization": fp_mod.abelianization(sub).as_dict()}, 0
 
 
 def cmd_series(args):
     if bool(args.presentation) == bool(args.group):
         raise ValueError("give exactly one of --presentation or --group")
     if args.presentation:
-        obj = _presentation_arg(args.presentation)
+        obj = fp_mod.parse_presentation(args.presentation)
         source = args.presentation
     else:
         obj = group_from_spec(args.group)
@@ -219,7 +207,7 @@ def cmd_aut(args):
 
 
 def cmd_coset_enum(args):
-    presentation = _presentation_arg(args.presentation)
+    presentation = fp_mod.parse_presentation(args.presentation)
     words = _subgroup_words(presentation, args.subgroup)
     limit = args.max_cosets or fp_mod.DEFAULT_MAX_COSETS
     table = fp_mod.todd_coxeter(presentation, words, limit)
@@ -230,7 +218,7 @@ def cmd_coset_enum(args):
 
 
 def cmd_rs(args):
-    presentation = _presentation_arg(args.presentation)
+    presentation = fp_mod.parse_presentation(args.presentation)
     words = _subgroup_words(presentation, args.subgroup)
     limit = args.max_cosets or fp_mod.DEFAULT_MAX_COSETS
     table = fp_mod.todd_coxeter(presentation, words, limit)
@@ -238,13 +226,13 @@ def cmd_rs(args):
     return {"presentation": str(presentation), "index": table.index,
             "schreier_generators": len(table.schreier_generators()),
             "subgroup_presentation": str(sub),
-            "subgroup_abelianization": _structure(fp_mod.abelianization(sub))}, 0
+            "subgroup_abelianization": fp_mod.abelianization(sub).as_dict()}, 0
 
 
 def cmd_abelianize(args):
-    presentation = _presentation_arg(args.presentation)
+    presentation = fp_mod.parse_presentation(args.presentation)
     return {"presentation": str(presentation),
-            "abelianization": _structure(fp_mod.abelianization(presentation))}, 0
+            "abelianization": fp_mod.abelianization(presentation).as_dict()}, 0
 
 
 def cmd_snf(args):
@@ -256,8 +244,8 @@ def cmd_snf(args):
         raise ValueError("matrix must be a list of rows")
     matrix = IntMatrix(rows)
     u, d, v = smith_normal_form(matrix)
-    return {"matrix": _matrix_payload(matrix), "U": _matrix_payload(u),
-            "D": _matrix_payload(d), "V": _matrix_payload(v),
+    # matrices print as bracketed row lists, strings that are themselves JSON
+    return {"matrix": str(matrix), "U": str(u), "D": str(d), "V": str(v),
             "diagonal": list(d.diagonal_entries())}, 0
 
 
@@ -283,7 +271,7 @@ def cmd_trefoil_obstruction(args):
 
 
 def cmd_out_obstruction(args):
-    presentation = _presentation_arg(args.presentation)
+    presentation = fp_mod.parse_presentation(args.presentation)
     report = knot_mod.complete_group_obstruction(
         presentation, assert_out_trivial=args.assert_out_trivial,
         p_max=args.p_max)
@@ -303,7 +291,7 @@ def cmd_e2_table(args):
         for t in range(args.t_max + 1):
             entry = table.entry(s, t)
             if not entry.is_trivial:
-                entries.append({"s": s, "t": t, "entry": _structure(entry)})
+                entries.append({"s": s, "t": t, "entry": entry.as_dict()})
     return {"m": args.m, "n": args.n, "p": args.p,
             "s_max": args.s_max, "t_max": args.t_max,
             "nonzero_entries": entries,
@@ -318,6 +306,14 @@ def cmd_verify(args):
     return payload, 0 if passed == len(results) else 1
 
 
+def positive_int(text):
+    """Argument type for budgets: 0 or less is an input error, not "default"."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cpgroups",
@@ -325,9 +321,9 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text key=value lines)")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=positive_int, default=None,
                         help="search / per-level index budget where applicable")
-    common.add_argument("--max-cosets", type=int, default=None,
+    common.add_argument("--max-cosets", type=positive_int, default=None,
                         help="coset enumeration budget")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

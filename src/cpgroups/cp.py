@@ -30,7 +30,7 @@ from .homalg import (AbelianStructure, IntMatrix, smith_normal_form,
                      tensor_with_zp)
 from .perm import (DEFAULT_AUT_NODE_BUDGET, PermGroup, alternating_group,
                    aut_group_search, center, centralizer, derived_subgroup,
-                   quotient_regular_action, symmetric_group)
+                   symmetric_group)
 from .fp import (FpPresentation, abelianization,
                  coset_table_from_action, reidemeister_schreier)
 
@@ -59,6 +59,55 @@ def cp_quotient_fp(presentation, p):
     if p < 1:
         raise ValueError("p must be >= 1")
     return tensor_with_zp(abelianization(presentation), p)
+
+
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def cp_quotient_perm(group, p):
+    """Structure of G / C^p(G) for a finite permutation group G.
+
+    The quotient is abelian of exponent dividing p, and for d | p its
+    quotient mod d is G / C^d(G). So for each prime q | p the indices
+    [G : C^(q^j)(G)] = q^(s_j), taken while q^j | p, fix the q-part:
+    s_j - s_(j-1) cyclic factors have order at least q^j.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    n = group.order()
+    prime_powers = []
+    for q in _prime_factors(p):
+        counts = []  # counts[j - 1]: cyclic q-factors of order >= q^j
+        prev = 0
+        qj = q
+        while p % qj == 0:
+            index = n // cp_subgroup(group, qj).order()
+            s = 0
+            while index % q == 0:
+                index //= q
+                s += 1
+            if index != 1:
+                raise RuntimeError(f"index of C^{qj} is not a power of {q}")
+            if s == prev:
+                break
+            counts.append(s - prev)
+            prev = s
+            qj *= q
+        for j, c in enumerate(counts, start=1):
+            following = counts[j] if j < len(counts) else 0
+            prime_powers.extend([q ** j] * (c - following))
+    return AbelianStructure.from_cyclic_factors(prime_powers)
 
 
 def _mod_p_quotient_data(presentation, p):
@@ -98,58 +147,6 @@ def cp_kernel_presentation(presentation, p, max_index=DEFAULT_SERIES_INDEX_CAP):
     """Presentation of C^p(G) via Reidemeister-Schreier on the mod-p table."""
     table = cp_kernel_coset_table(presentation, p, max_index)
     return reidemeister_schreier(presentation, table)
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def abelian_structure_of(group):
-    """Canonical structure of a finite abelian permutation group.
-
-    Uses torsion-subgroup sizes: for each prime q, the number of elements
-    killed by q^j determines how many cyclic q-power factors of each size
-    there are.
-    """
-    if not group.is_abelian():
-        raise ValueError("group is not abelian")
-    n = group.order()
-    if n == 1:
-        return AbelianStructure()
-    orders = [x.order() for x in group.elements()]
-    prime_powers = []
-    for q in _prime_factors(n):
-        ranks = [0]
-        j = 1
-        while True:
-            qj = q ** j
-            cnt = sum(1 for o in orders if qj % o == 0)
-            m = 0
-            t = cnt
-            while t > 1:
-                if t % q:
-                    raise RuntimeError("torsion subgroup size is not a prime power")
-                t //= q
-                m += 1
-            if m == ranks[-1]:
-                break
-            ranks.append(m)
-            j += 1
-        counts = [ranks[k + 1] - ranks[k] for k in range(len(ranks) - 1)]
-        for k, c in enumerate(counts, start=1):
-            following = counts[k] if k < len(counts) else 0
-            prime_powers.extend([q ** k] * (c - following))
-    return AbelianStructure.from_cyclic_factors(prime_powers)
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,7 @@ def derived_p_series(obj, p, depth, budget=DEFAULT_SERIES_INDEX_CAP):
             if index > budget:
                 truncated_at = k
                 break
-            quotient = abelian_structure_of(
-                quotient_regular_action(cur, sub, index_cap=budget).group)
+            quotient = cp_quotient_perm(cur, p)
             levels.append(PSeriesLevel(sub, quotient, index))
             cur = sub
     else:

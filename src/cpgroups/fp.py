@@ -293,9 +293,6 @@ class CosetTable:
             if self.trace(0, w) != 0:
                 raise ValueError("subgroup word does not fix coset 0")
 
-    def apply(self, coset, gen, sign=1):
-        return self.rows[coset][2 * gen + (0 if sign > 0 else 1)]
-
     def trace(self, coset, word):
         for g, s in word.letters():
             coset = self.rows[coset][2 * g + (0 if s > 0 else 1)]

@@ -131,7 +131,7 @@ class Perm:
         return out
 
     def order(self):
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def extended(self, degree):
         """The same permutation acting on a larger point set."""
@@ -397,16 +397,6 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, gens=[{gens}])"
 
 
-def group_order(group):
-    """Exact order via the stabilizer chain."""
-    return group.order()
-
-
-def membership(group, g):
-    """True iff g lies in the group; degrees must match."""
-    return group.contains(g)
-
-
 def normal_closure(group, seeds):
     """Smallest normal subgroup of `group` containing every seed element."""
     gens = []
@@ -436,6 +426,8 @@ def derived_subgroup(group):
 
 
 def _reduce_generators(group, elements):
+    """Subgroup of `group` generated by the elements, keeping in order each
+    one that is not yet in the span of those kept before it."""
     kept = []
     sub = group._make_subgroup(())
     for x in elements:
@@ -583,12 +575,6 @@ class AutomorphismSet:
     def inner_order(self):
         return self.base_group.order() // center(self.base_group).order()
 
-    def is_all_inner(self):
-        return self.order() == self.inner_order()
-
-    def index_of(self, x):
-        return self._index[x]
-
     def apply(self, automorphism, x):
         """Image of an arbitrary group element under one of the maps."""
         return self.elements[automorphism.element_perm.images[self._index[x]]]
@@ -605,13 +591,8 @@ class AutomorphismSet:
         certifies closure of `maps` under composition.
         """
         if self._perm_group is None:
-            n = len(self.elements)
-            sel = []
-            grp = PermGroup(n, (), degree_cap=None)
-            for m in self.maps:
-                if m.element_perm not in grp:
-                    sel.append(m.element_perm)
-                    grp = PermGroup(n, sel, degree_cap=None)
+            ambient = PermGroup(len(self.elements), (), degree_cap=None)
+            grp = _reduce_generators(ambient, (m.element_perm for m in self.maps))
             if self.complete and grp.order() != len(self.maps):
                 raise RuntimeError("automorphism set is not closed under composition")
             self._perm_group = grp
@@ -634,12 +615,7 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
     if n > order_cap:
         raise CapExceeded(f"group order {n} exceeds automorphism search cap {order_cap}")
 
-    kept = []
-    sub = group._make_subgroup(())
-    for g in group.generators:
-        if not g.is_identity() and g not in sub:
-            kept.append(g)
-            sub = group._make_subgroup(kept)
+    kept = _reduce_generators(group, group.generators).generators
     if len(kept) > 3:
         raise CapExceeded(
             f"{len(kept)} independent generators; the search requires at most 3")

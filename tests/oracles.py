@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and independent of the library's own
 algorithms: closures by breadth-first multiplication of image tuples,
-determinants by cofactor expansion.
+abelian invariants by counting element orders, determinants by cofactor
+expansion.
 """
 
 
@@ -26,6 +27,58 @@ def mulclose(perms):
                     new.append(y)
         frontier = new
     return seen
+
+
+def _tuple_order(x):
+    identity = tuple(range(len(x)))
+    k, y = 1, x
+    while y != identity:
+        y = tuple(x[v] for v in y)
+        k += 1
+    return k
+
+
+def abelian_invariants(perms):
+    """Invariant factors d_1 | d_2 | ... (all > 1) of the abelian group
+    generated by the permutations, from a census of element orders.
+
+    For a prime q, the elements killed by q^j number q^(c_1 + ... + c_j),
+    where c_k counts the cyclic q-power factors of order at least q^k.
+    """
+    images = [g.images for g in perms]
+    for a in images:
+        for b in images:
+            if tuple(b[v] for v in a) != tuple(a[v] for v in b):
+                raise ValueError("generators do not commute")
+    orders = [_tuple_order(x) for x in mulclose(perms)]
+    n = len(orders)
+    primary = []  # per prime dividing n: its cyclic factor orders, descending
+    for q in range(2, n + 1):
+        if n % q or any(q % d == 0 for d in range(2, q)):
+            continue
+        counts = []
+        killed_before = 1
+        for j in range(1, n + 1):
+            killed = sum(1 for o in orders if q ** j % o == 0)
+            if killed == killed_before:
+                break
+            ratio, c = killed // killed_before, 0
+            while ratio > 1:
+                ratio //= q
+                c += 1
+            counts.append(c)
+            killed_before = killed
+        primary.append([q ** sum(1 for c in counts if c > i)
+                        for i in range(counts[0] if counts else 0)])
+    length = max((len(f) for f in primary), default=0)
+    factors = []
+    for i in range(length):
+        d = 1
+        for f in primary:
+            if i < len(f):
+                d *= f[i]
+        factors.append(d)
+    return tuple(reversed(factors))
 
 
 def det_cofactor(rows):

@@ -52,6 +52,15 @@ def test_cp_subgroup_names_alternating(capsys):
     assert 'subgroup_order=60' in out
 
 
+def test_cp_subgroup_names_large_cyclic(capsys):
+    # a Z_1260, beyond any element scan's reach
+    group = "(1 2 3 4 5 6 7)(8 9 10 11 12 13 14 15)(16 17 18 19 20 21 22 23 24)" \
+        "(25 26 27 28 29)"
+    code, out = run_cli(capsys, ["cp-subgroup", "--group", group, "--p", "2"])
+    assert code == 0
+    assert 'name="Z1260"' in out
+
+
 def test_verdict_exit_codes(capsys):
     code, out = run_cli(capsys, ["verdict", "--group", "S3", "--p", "3"])
     assert code == 0 and 'status="IS_CP_GROUP"' in out
@@ -86,6 +95,22 @@ def test_budget_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "budget" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coset-enum", "--presentation", "< a | a^5 >", "--max-cosets", "0"],
+    ["coset-enum", "--presentation", "< a | a^5 >", "--max-cosets", "-1"],
+    ["aut", "--group", "S4", "--budget", "-1"],
+    ["series", "--group", "S4", "--p", "2", "--depth", "1", "--budget", "-1"],
+    ["cp-kernel", "--presentation", "< a, b | a^3 = b^2 >", "--p", "2",
+     "--budget", "0"],
+], ids=["coset-enum-0", "coset-enum-neg", "aut-neg", "series-neg", "cp-kernel-0"])
+def test_nonpositive_budget_is_input_error(capsys, argv):
+    # rejected while parsing, before the command runs with some default
+    with pytest.raises(SystemExit) as info:
+        cli.run(argv)
+    assert info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_snf_command(capsys):

@@ -1,18 +1,22 @@
+import random
+
 import pytest
 
-from cpgroups.cp import (CpVerdict, abelian_structure_of, cp_group_verdict,
-                         cp_kernel_coset_table, cp_kernel_presentation,
-                         cp_quotient_fp, cp_subgroup, derived_p_series,
+from cpgroups.cp import (CpVerdict, cp_group_verdict, cp_kernel_coset_table,
+                         cp_kernel_presentation, cp_quotient_fp,
+                         cp_quotient_perm, cp_subgroup, derived_p_series,
                          verify_exact_sequence, verify_s6_pipeline)
 from cpgroups.errors import ConjugationNotInnerError
 from cpgroups.fp import FpPresentation, Word, abelianization, parse_presentation
 from cpgroups.homalg import AbelianStructure, IntMatrix, cokernel_structure, \
     cyclic, tensor_with_zp
-from cpgroups.perm import (PermGroup, alternating_group, aut_group_search,
-                           cyclic_group, dihedral_group, direct_product,
-                           klein_four_group, parse_cycles,
+from cpgroups.perm import (Perm, PermGroup, alternating_group,
+                           aut_group_search, cyclic_group, dihedral_group,
+                           direct_product, klein_four_group,
                            quotient_regular_action, symmetric_group,
                            trivial_group)
+
+from oracles import abelian_invariants
 
 TREFOIL = parse_presentation("< a, b | a^3 = b^2 >")
 
@@ -28,8 +32,7 @@ def test_cp_subgroup_small_examples():
     assert cp_subgroup(alternating_group(4), 6).equals_subgroup(klein_four_group())
     sub = cp_subgroup(cyclic_group(12), 8)
     assert sub.order() == 3
-    quotient = quotient_regular_action(cyclic_group(12), sub)
-    assert abelian_structure_of(quotient.group) == AbelianStructure(torsion=(4,))
+    assert cp_quotient_perm(cyclic_group(12), 8) == AbelianStructure(torsion=(4,))
 
 
 def test_cp_subgroup_p1_is_whole_group():
@@ -65,11 +68,35 @@ def test_cp_subgroup_index_matches_abelianization_mod_p():
                     assert (g * h * g.inverse()) in sub
             index = group.order() // sub.order()
             assert index == tensor_with_zp(ab, p).order(), (group, p)
-            quotient = quotient_regular_action(group, sub).group
-            assert quotient.is_abelian()
-            if index > 1:
-                exponent = abelian_structure_of(quotient).exponent()
-                assert p % exponent == 0
+            assert quotient_regular_action(group, sub).group.is_abelian()
+            assert cp_quotient_perm(group, p) == tensor_with_zp(ab, p), (group, p)
+
+
+def test_cp_quotient_perm_matches_census_of_regular_quotient():
+    # two references: the brute-force order census, run on the quotient
+    # built by the coset action that the index computation replaced
+    rng = random.Random(1602)
+    random_groups = []
+    for _ in range(20):
+        degree = rng.randint(2, 6)
+        gens = [Perm(rng.sample(range(degree), degree))
+                for _ in range(rng.randint(1, 2))]
+        random_groups.append(PermGroup(degree, gens))
+    corpus = ([symmetric_group(n) for n in range(1, 6)]
+              + [alternating_group(n) for n in range(1, 6)]
+              + [dihedral_group(n) for n in range(3, 9)]
+              + [cyclic_group(n) for n in range(1, 13)]
+              + [klein_four_group(),
+                 direct_product(cyclic_group(4), cyclic_group(8)),
+                 direct_product(symmetric_group(3), cyclic_group(4))]
+              + random_groups)
+    for group in corpus:
+        for p in range(1, 13):
+            structure = cp_quotient_perm(group, p)
+            qa = quotient_regular_action(group, cp_subgroup(group, p))
+            expected = abelian_invariants(list(qa.group.generators))
+            assert structure.free_rank == 0, (group, p)
+            assert structure.torsion == expected, (group, p)
 
 
 def test_cp_product_law():
@@ -198,14 +225,15 @@ def test_derived_p_series_budget_truncation():
     assert report.levels == ()
 
 
-def test_abelian_structure_of():
-    assert abelian_structure_of(cyclic_group(12)) == AbelianStructure(torsion=(12,))
-    assert abelian_structure_of(klein_four_group()) == AbelianStructure(torsion=(2, 2))
-    assert abelian_structure_of(direct_product(cyclic_group(6), cyclic_group(4))) == \
-        AbelianStructure(torsion=(2, 12))
-    assert abelian_structure_of(trivial_group()) == AbelianStructure()
+def test_cp_quotient_perm_of_abelian_group_is_its_structure():
+    # C^|H|(H) is trivial for abelian H
+    for group, torsion in [(cyclic_group(12), (12,)), (klein_four_group(), (2, 2)),
+                           (direct_product(cyclic_group(6), cyclic_group(4)), (2, 12)),
+                           (trivial_group(), ())]:
+        assert cp_quotient_perm(group, group.order()) == \
+            AbelianStructure(torsion=torsion)
     with pytest.raises(ValueError):
-        abelian_structure_of(symmetric_group(3))
+        cp_quotient_perm(cyclic_group(4), 0)
 
 
 def test_verdict_s3():
