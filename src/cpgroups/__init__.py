@@ -10,13 +10,12 @@ from .homalg import (AbelianStructure, E2Table, IntMatrix, TRIVIAL, Z,
                      cokernel_structure, cyclic, cyclic_homology,
                      five_term_from_multiplication, lhs_e2_table,
                      smith_normal_form, tensor_with_zp)
-from .perm import (AutomorphismSet, GroupAutomorphism, Perm, PermGroup,
-                   QuotientAction, alternating_group, aut_group_search,
-                   center, centralizer, commutator, cyclic_group,
-                   derived_subgroup, dihedral_group, direct_product,
-                   format_cycles, is_complete, klein_four_group,
-                   normal_closure, parse_cycles, quotient_regular_action,
-                   symmetric_group, trivial_group)
+from .perm import (AutomorphismSet, Perm, PermGroup, QuotientAction,
+                   alternating_group, aut_group_search, center, centralizer,
+                   commutator, cyclic_group, derived_subgroup, dihedral_group,
+                   direct_product, format_cycles, is_complete,
+                   klein_four_group, normal_closure, parse_cycles,
+                   quotient_regular_action, symmetric_group, trivial_group)
 from .fp import (CosetTable, FpPresentation, Word, abelianization,
                  evaluate_word, kernel_coset_table, parse_presentation,
                  parse_word, reidemeister_schreier, todd_coxeter, verify_hom)

@@ -160,8 +160,7 @@ def cmd_cp_quotient(args):
 
 def cmd_cp_kernel(args):
     presentation = fp_mod.parse_presentation(args.presentation)
-    cap = args.budget or cp_mod.DEFAULT_SERIES_INDEX_CAP
-    table = cp_mod.cp_kernel_coset_table(presentation, args.p, cap)
+    table = cp_mod.cp_kernel_coset_table(presentation, args.p, args.budget)
     sub = fp_mod.reidemeister_schreier(presentation, table)
     return {"presentation": str(presentation), "p": args.p,
             "index": table.index, "kernel_presentation": str(sub),
@@ -177,24 +176,21 @@ def cmd_series(args):
     else:
         obj = group_from_spec(args.group)
         source = args.group
-    budget = args.budget or cp_mod.DEFAULT_SERIES_INDEX_CAP
-    report = cp_mod.derived_p_series(obj, args.p, args.depth, budget)
+    report = cp_mod.derived_p_series(obj, args.p, args.depth, args.budget)
     payload = {"input": source, **report.to_dict()}
     return payload, 3 if report.truncated_at is not None else 0
 
 
 def cmd_verdict(args):
     group = group_from_spec(args.group)
-    budget = args.budget or perm_mod.DEFAULT_AUT_NODE_BUDGET
-    verdict = cp_mod.cp_group_verdict(group, args.p, budget)
+    verdict = cp_mod.cp_group_verdict(group, args.p, args.budget)
     payload = {"group": args.group, "p": args.p, **asdict(verdict)}
     return payload, 0 if verdict.status == cp_mod.IS_CP_GROUP else 1
 
 
 def cmd_aut(args):
     group = group_from_spec(args.group)
-    budget = args.budget or perm_mod.DEFAULT_AUT_NODE_BUDGET
-    aset = perm_mod.aut_group_search(group, budget)
+    aset = perm_mod.aut_group_search(group, args.budget)
     payload = _group_payload(args.group, group)
     payload.update({
         "aut_order": len(aset.maps),
@@ -209,8 +205,7 @@ def cmd_aut(args):
 def cmd_coset_enum(args):
     presentation = fp_mod.parse_presentation(args.presentation)
     words = _subgroup_words(presentation, args.subgroup)
-    limit = args.max_cosets or fp_mod.DEFAULT_MAX_COSETS
-    table = fp_mod.todd_coxeter(presentation, words, limit)
+    table = fp_mod.todd_coxeter(presentation, words, args.max_cosets)
     return {"presentation": str(presentation),
             "subgroup": [w.render(presentation.generators) for w in words],
             "index": table.index,
@@ -220,8 +215,7 @@ def cmd_coset_enum(args):
 def cmd_rs(args):
     presentation = fp_mod.parse_presentation(args.presentation)
     words = _subgroup_words(presentation, args.subgroup)
-    limit = args.max_cosets or fp_mod.DEFAULT_MAX_COSETS
-    table = fp_mod.todd_coxeter(presentation, words, limit)
+    table = fp_mod.todd_coxeter(presentation, words, args.max_cosets)
     sub = fp_mod.reidemeister_schreier(presentation, table)
     return {"presentation": str(presentation), "index": table.index,
             "schreier_generators": len(table.schreier_generators()),
@@ -279,8 +273,7 @@ def cmd_out_obstruction(args):
 
 
 def cmd_s6(args):
-    budget = args.budget or perm_mod.DEFAULT_AUT_NODE_BUDGET
-    report = cp_mod.verify_s6_pipeline(args.p, budget)
+    report = cp_mod.verify_s6_pipeline(args.p, args.budget)
     return asdict(report), 0
 
 
@@ -321,16 +314,16 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text key=value lines)")
-    common.add_argument("--budget", type=positive_int, default=None,
-                        help="search / per-level index budget where applicable")
-    common.add_argument("--max-cosets", type=positive_int, default=None,
-                        help="coset enumeration budget")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def add(name, func, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(func=func)
         return p
+
+    def limit(p, flag, default, help_text):
+        p.add_argument(flag, type=positive_int, default=default,
+                       help=f"{help_text} (default %(default)s)")
 
     p = add("order", cmd_order, "order of a permutation group")
     p.add_argument("--group", required=True)
@@ -349,28 +342,34 @@ def build_parser():
             "presentation of the subgroup, for a presented G")
     p.add_argument("--presentation", required=True)
     p.add_argument("--p", type=int, required=True)
+    limit(p, "--budget", cp_mod.DEFAULT_SERIES_INDEX_CAP, "largest quotient order")
 
     p = add("series", cmd_series, "iterate the operator to a given depth")
     p.add_argument("--presentation")
     p.add_argument("--group")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
+    limit(p, "--budget", cp_mod.DEFAULT_SERIES_INDEX_CAP, "largest index per level")
 
     p = add("verdict", cmd_verdict, "is the group a C^p-group?")
     p.add_argument("--group", required=True)
     p.add_argument("--p", type=int, required=True)
+    limit(p, "--budget", perm_mod.DEFAULT_AUT_NODE_BUDGET, "search nodes")
 
     p = add("aut", cmd_aut, "automorphism group by certified search")
     p.add_argument("--group", required=True)
+    limit(p, "--budget", perm_mod.DEFAULT_AUT_NODE_BUDGET, "search nodes")
 
     p = add("coset-enum", cmd_coset_enum, "Todd-Coxeter coset enumeration")
     p.add_argument("--presentation", required=True)
     p.add_argument("--subgroup", default="",
                    help="comma-separated subgroup generator words")
+    limit(p, "--max-cosets", fp_mod.DEFAULT_MAX_COSETS, "cosets")
 
     p = add("rs", cmd_rs, "Reidemeister-Schreier subgroup presentation")
     p.add_argument("--presentation", required=True)
     p.add_argument("--subgroup", default="")
+    limit(p, "--max-cosets", fp_mod.DEFAULT_MAX_COSETS, "cosets")
 
     p = add("abelianize", cmd_abelianize, "abelianization of a presentation")
     p.add_argument("--presentation", required=True)
@@ -406,6 +405,7 @@ def build_parser():
 
     p = add("s6", cmd_s6, "sixth symmetric group pipeline")
     p.add_argument("--p", type=int, required=True)
+    limit(p, "--budget", perm_mod.DEFAULT_AUT_NODE_BUDGET, "search nodes")
 
     p = add("e2-table", cmd_e2_table, "second-page homology table")
     p.add_argument("m", type=int)

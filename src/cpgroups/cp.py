@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from .errors import BudgetExhausted, CapExceeded, ConjugationNotInnerError
 from .homalg import (AbelianStructure, IntMatrix, smith_normal_form,
                      tensor_with_zp)
-from .perm import (DEFAULT_AUT_NODE_BUDGET, PermGroup, alternating_group,
-                   aut_group_search, center, centralizer, derived_subgroup,
-                   symmetric_group)
+from .perm import (DEFAULT_AUT_NODE_BUDGET, PermGroup, _require_normal,
+                   alternating_group, aut_group_search, center, centralizer,
+                   derived_subgroup, symmetric_group)
 from .fp import (FpPresentation, abelianization,
                  coset_table_from_action, reidemeister_schreier)
 
@@ -312,13 +312,7 @@ def verify_exact_sequence(group, subgroup):
     inner automorphism of H; a generator violating that is reported as the
     witness of a precondition error, not as a False return.
     """
-    for h in subgroup.generators:
-        if not group.contains(h):
-            raise ValueError("H is not contained in G")
-    for g in group.generators:
-        for h in subgroup.generators:
-            if (g * h * g.inverse()) not in subgroup:
-                raise ValueError(f"H is not normal in G (conjugation by {g})")
+    _require_normal(group, subgroup, "H")
     h_elements = subgroup.elements()
     h_gens = subgroup.generators
     for g in group.generators:
@@ -399,8 +393,7 @@ def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     inner_group = PermGroup(aut_perm.degree, inner_gens, degree_cap=None)
     inner_contained = all(m in cp_aut for m in inner_gens)
 
-    outer10 = any(m.element_perm not in inner_group and m.element_perm.order() == 10
-                  for m in aset.maps)
+    outer10 = any(m not in inner_group and m.order() == 10 for m in aset.maps)
 
     aut_over_inner = aut_order // inner_order
     aut_over_cp = aut_order // cp_aut.order()

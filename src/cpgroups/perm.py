@@ -13,8 +13,10 @@ the same generator list reproduces the same chain. A PermGroup lazily builds
 its chain behind a lock; once built, every query is read-only, so sharing a
 group between threads is safe.
 
-The automorphism search backtracks over generator images, pruning by the
-(element order, centralizer order) fingerprint, and certifies its output:
+Elements come from one breadth-first walk of the Cayley graph. The
+automorphism search reads its multiplication table off that walk,
+backtracks over generator images, pruning by the (element order,
+centralizer order) fingerprint, and certifies its output:
 every reported map is verified against the full multiplication action of
 the group, the set is closed as a permutation group on the element set, and
 it contains all inner automorphisms.
@@ -23,7 +25,6 @@ it contains all inner automorphisms.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 
@@ -312,21 +313,41 @@ class _StabilizerChain:
         residue, _ = self._strip(g)
         return residue.is_identity()
 
-    def elements(self):
-        result = [Perm.identity(self.degree)]
-        for i in reversed(range(len(self.base))):
-            tr = self.transversals[i]
-            us = [tr[d] for d in sorted(tr)]
-            result = [h * u for u in us for h in result]
-        return result
+
+def _cayley(degree, generators):
+    """Breadth-first walk of the Cayley graph from the identity.
+
+    Returns (elements, index, right, parent, pgen): the elements in walk
+    order, the position of each, right[k][i] = position of elements[i] *
+    generators[k], and for i > 0 the tree edge elements[i] =
+    elements[parent[i]] * generators[pgen[i]] with parent[i] < i.
+    """
+    identity = Perm.identity(degree)
+    elements = [identity]
+    index = {identity: 0}
+    right = [[] for _ in generators]
+    parent = [0]
+    pgen = [-1]
+    for i, x in enumerate(elements):  # the list grows while it is walked
+        for k, g in enumerate(generators):
+            y = x * g
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(elements)
+                elements.append(y)
+                parent.append(i)
+                pgen.append(k)
+            right[k].append(j)
+    return elements, index, right, parent, pgen
 
 
 class PermGroup:
     """A finite permutation group given by generators.
 
     Treat instances as immutable: the stabilizer chain and a few derived
-    results (elements, center, automorphism set) are cached on the instance,
-    and the named-group constructors below share instances process-wide.
+    results (elements, derived subgroup, center, automorphism set) are
+    cached on the instance, and the named-group constructors below share
+    instances process-wide.
     """
 
     def __init__(self, degree, generators=(), *, degree_cap=DEFAULT_DEGREE_CAP):
@@ -342,6 +363,7 @@ class PermGroup:
         self._lock = threading.Lock()
         self._chain = None
         self._elements = None
+        self._derived = None
         self._center = None
         self._aut = None
 
@@ -371,9 +393,14 @@ class PermGroup:
         return self.contains(g)
 
     def elements(self):
-        """All elements, in the chain's deterministic enumeration order."""
+        """All elements, in breadth-first order of the Cayley graph on the
+        generators (deterministic for a given generator list)."""
         if self._elements is None:
-            self._elements = tuple(self.chain.elements())
+            n = self.order()  # enforces the degree cap before the walk
+            elements = _cayley(self.degree, self.generators)[0]
+            if len(elements) != n:
+                raise RuntimeError("element enumeration disagrees with the group order")
+            self._elements = tuple(elements)
         return self._elements
 
     def is_trivial(self):
@@ -419,10 +446,13 @@ def normal_closure(group, seeds):
 
 
 def derived_subgroup(group):
-    """Commutator subgroup: normal closure of the generator commutators."""
-    gens = group.generators
-    seeds = [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
-    return normal_closure(group, seeds)
+    """Commutator subgroup: normal closure of the generator commutators
+    (cached on the instance)."""
+    if group._derived is None:
+        gens = group.generators
+        seeds = [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
+        group._derived = normal_closure(group, seeds)
+    return group._derived
 
 
 def _reduce_generators(group, elements):
@@ -437,11 +467,20 @@ def _reduce_generators(group, elements):
     return sub
 
 
+def _require_normal(group, sub, name):
+    """Raise ValueError unless `sub` (called `name`) is normal in `group`."""
+    if not sub.is_subgroup_of(group):
+        raise ValueError(f"{name} is not contained in G")
+    for g in group.generators:
+        for h in sub.generators:
+            if (g * h * g.inverse()) not in sub:
+                raise ValueError(f"{name} is not normal in G (conjugation by {g})")
+
+
 def centralizer(group, subgroup):
     """Centralizer of `subgroup` (must lie inside `group`) in `group`."""
-    for h in subgroup.generators:
-        if not group.contains(h):
-            raise ValueError("subgroup is not contained in the ambient group")
+    if not subgroup.is_subgroup_of(group):
+        raise ValueError("subgroup is not contained in the ambient group")
     hgens = subgroup.generators
     central = [x for x in group.elements()
                if all(x * h == h * x for h in hgens)]
@@ -484,14 +523,7 @@ def quotient_regular_action(group, normal, index_cap=DEFAULT_INDEX_CAP):
     Normality is always checked, never assumed. Returns a QuotientAction so
     callers get both the quotient group and the quotient map on generators.
     """
-    for h in normal.generators:
-        if not group.contains(h):
-            raise ValueError("N is not contained in G")
-    for g in group.generators:
-        for h in normal.generators:
-            if (g * h * g.inverse()) not in normal:
-                raise ValueError(
-                    f"subgroup is not normal: conjugate of {h} by {g} falls outside")
+    _require_normal(group, normal, "N")
     index = group.order() // normal.order()
     if index > index_cap:
         raise CapExceeded(f"index {index} exceeds cap {index_cap}")
@@ -536,48 +568,33 @@ def direct_product(g, h):
     return PermGroup(dg + dh, gens, degree_cap=cap)
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    """An automorphism, as generator images plus its action on element indices."""
-
-    images: tuple
-    element_perm: Perm
-
-
 class AutomorphismSet:
     """Result of an automorphism group search.
 
-    `maps` are the verified automorphisms (images aligned with the base
-    group's generator list). When `complete` is true the set is the whole
-    automorphism group and has been certified: closed under composition as a
-    permutation group on the element list, and containing all inner
-    automorphisms. When the node budget ran out, `complete` is false and
-    `maps` holds only the automorphisms found so far, each still verified.
+    `maps` are the verified automorphisms, each a permutation of element
+    indices: the automorphism sends elements[i] to elements[m(i)]. When
+    `complete` is true the set is the whole automorphism group and has been
+    certified: closed under composition as a permutation group on the
+    element list, and containing all inner automorphisms. When the node
+    budget ran out, `complete` is false and `maps` holds only the
+    automorphisms found so far, each still verified.
     """
 
-    def __init__(self, base_group, maps, complete, elements, nodes_used):
+    def __init__(self, base_group, maps, complete, elements, index, nodes_used):
         self.base_group = base_group
         self.maps = tuple(maps)
         self.complete = complete
         self.elements = tuple(elements)
         self.nodes_used = nodes_used
-        self._index = {p: i for i, p in enumerate(self.elements)}
+        self._index = index
         self._perm_group = None
-
-    def __len__(self):
-        return len(self.maps)
-
-    def order(self):
-        if not self.complete:
-            raise BudgetExhausted("automorphism search was truncated; order unknown")
-        return len(self.maps)
 
     def inner_order(self):
         return self.base_group.order() // center(self.base_group).order()
 
     def apply(self, automorphism, x):
         """Image of an arbitrary group element under one of the maps."""
-        return self.elements[automorphism.element_perm.images[self._index[x]]]
+        return self.elements[automorphism.images[self._index[x]]]
 
     def conjugation_map(self, g):
         """The inner automorphism x -> g x g^-1 as an element permutation."""
@@ -592,7 +609,7 @@ class AutomorphismSet:
         """
         if self._perm_group is None:
             ambient = PermGroup(len(self.elements), (), degree_cap=None)
-            grp = _reduce_generators(ambient, (m.element_perm for m in self.maps))
+            grp = _reduce_generators(ambient, self.maps)
             if self.complete and grp.order() != len(self.maps):
                 raise RuntimeError("automorphism set is not closed under composition")
             self._perm_group = grp
@@ -620,42 +637,24 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
         raise CapExceeded(
             f"{len(kept)} independent generators; the search requires at most 3")
 
-    # breadth-first element list; parent/pgen record one word per element
-    identity = Perm.identity(group.degree)
-    elems = [identity]
-    index = {identity: 0}
-    parent = [0]
-    pgen = [-1]
-    qi = 0
-    while qi < len(elems):
-        x = elems[qi]
-        for k, g in enumerate(kept):
-            y = x * g
-            if y not in index:
-                index[y] = len(elems)
-                elems.append(y)
-                parent.append(qi)
-                pgen.append(k)
-        qi += 1
+    elems, index, right, parent, pgen = _cayley(group.degree, kept)
     if len(elems) != n:
         raise RuntimeError("element enumeration disagrees with the group order")
 
+    # x * y = (x * parent(y)) * gen(y): each row follows the walk's tree
+    steps = [(right[k], j) for j, k in zip(parent[1:], pgen[1:])]
     table = []
-    for x in elems:
-        xi = x.images
-        row = [index[Perm._raw(tuple(y.images[v] for v in xi))] for y in elems]
+    for x in range(n):
+        row = [x]
+        for col, j in steps:
+            row.append(col[row[j]])
         table.append(row)
 
     orders = [x.order() for x in elems]
-    cent = [0] * n
-    for i in range(n):
-        ti = table[i]
-        c = 0
-        for j in range(n):
-            if ti[j] == table[j][i]:
-                c += 1
-        cent[i] = c
-    fingerprint = [(orders[i], cent[i]) for i in range(n)]
+    # cent[i]: how many elements commute with element i
+    cent = [sum(1 for j, tij in enumerate(ti) if tij == table[j][i])
+            for i, ti in enumerate(table)]
+    fingerprint = list(zip(orders, cent))
 
     gidx = [index[g] for g in kept]
     m = len(gidx)
@@ -705,22 +704,20 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
             if k + 1 == m:
                 phi = verify(img + [c])
                 if phi is not None:
-                    element_perm = Perm._raw(tuple(phi))
-                    images = tuple(elems[phi[index[g]]] for g in group.generators)
-                    found.append(GroupAutomorphism(images, element_perm))
+                    found.append(Perm._raw(tuple(phi)))
             else:
                 search(img + [c])
 
     if m == 0:
-        found.append(GroupAutomorphism((), Perm.identity(n)))
+        found.append(Perm.identity(n))
     else:
         search([])
 
-    result = AutomorphismSet(group, found, not truncated, elems, nodes)
+    result = AutomorphismSet(group, found, not truncated, elems, index, nodes)
     if result.complete:
-        phis = {a.element_perm for a in result.maps}
+        maps = set(found)
         for g in group.generators:
-            if result.conjugation_map(g) not in phis:
+            if result.conjugation_map(g) not in maps:
                 raise RuntimeError("search missed an inner automorphism")
         result.as_perm_group()  # certifies closure
         group._aut = result

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from cpgroups import cli, cp
-from cpgroups.perm import klein_four_group
+from cpgroups.fp import DEFAULT_MAX_COSETS
+from cpgroups.perm import DEFAULT_AUT_NODE_BUDGET, klein_four_group
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -111,6 +112,38 @@ def test_nonpositive_budget_is_input_error(capsys, argv):
         cli.run(argv)
     assert info.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "--group", "S5", "--budget", "5"],
+    ["cp-subgroup", "--group", "S4", "--p", "2", "--budget", "5"],
+    ["snf", "--matrix", "[[2]]", "--max-cosets", "3"],
+    ["aut", "--group", "S4", "--max-cosets", "3"],
+    ["coset-enum", "--presentation", "< a | a^5 >", "--budget", "5"],
+    ["verify", "table1.gcd0", "--budget", "5"],
+], ids=["order", "cp-subgroup", "snf", "aut-max-cosets", "coset-enum-budget",
+        "verify"])
+def test_budget_flags_only_where_read(capsys, argv):
+    # a budget the command would ignore is refused, not silently dropped
+    with pytest.raises(SystemExit) as info:
+        cli.run(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, default", [
+    (["cp-kernel", "--presentation", "< a | >", "--p", "2"], "budget",
+     cp.DEFAULT_SERIES_INDEX_CAP),
+    (["series", "--group", "S3", "--p", "2", "--depth", "1"], "budget",
+     cp.DEFAULT_SERIES_INDEX_CAP),
+    (["verdict", "--group", "S3", "--p", "2"], "budget", DEFAULT_AUT_NODE_BUDGET),
+    (["aut", "--group", "S3"], "budget", DEFAULT_AUT_NODE_BUDGET),
+    (["s6", "--p", "2"], "budget", DEFAULT_AUT_NODE_BUDGET),
+    (["coset-enum", "--presentation", "< a | >"], "max_cosets", DEFAULT_MAX_COSETS),
+    (["rs", "--presentation", "< a | >"], "max_cosets", DEFAULT_MAX_COSETS),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_budget_defaults_are_the_library_defaults(argv, flag, default):
+    assert getattr(cli.build_parser().parse_args(argv), flag) == default
 
 
 def test_snf_command(capsys):
@@ -251,3 +284,35 @@ def test_closed_stdout_is_internal_error():
         err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 4
     assert "Traceback" not in err and "output closed early" in err
+
+
+
+TRACER_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from cpgroups import cli
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans})}))
+"""
+
+
+def test_benchmark_tracer_finds_its_spans():
+    # the benchmark's traced pass wraps these by name, so a rename would
+    # otherwise only show up there
+    argvs = [["aut", "--group", "S4"], ["verdict", "--group", "S4", "--p", "2"],
+             ["series", "--group", "S4", "--p", "2", "--depth", "1"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACER_SCRIPT, str(SRC.parent / "perfbench"),
+         json.dumps(argvs)],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 1, 0]
+    for name in ["perm.aut_group_search", "perm.as_perm_group", "perm.chain",
+                 "perm.elements"]:
+        assert name in result["spans"], name

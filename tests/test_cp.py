@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from cpgroups.cp import (CpVerdict, cp_group_verdict, cp_kernel_coset_table,
@@ -10,12 +8,13 @@ from cpgroups.errors import ConjugationNotInnerError
 from cpgroups.fp import FpPresentation, Word, abelianization, parse_presentation
 from cpgroups.homalg import AbelianStructure, IntMatrix, cokernel_structure, \
     cyclic, tensor_with_zp
-from cpgroups.perm import (Perm, PermGroup, alternating_group,
+from cpgroups.perm import (PermGroup, alternating_group,
                            aut_group_search, cyclic_group, dihedral_group,
                            direct_product, klein_four_group,
                            quotient_regular_action, symmetric_group,
                            trivial_group)
 
+from corpus import small_groups
 from oracles import abelian_invariants
 
 TREFOIL = parse_presentation("< a, b | a^3 = b^2 >")
@@ -75,22 +74,7 @@ def test_cp_subgroup_index_matches_abelianization_mod_p():
 def test_cp_quotient_perm_matches_census_of_regular_quotient():
     # two references: the brute-force order census, run on the quotient
     # built by the coset action that the index computation replaced
-    rng = random.Random(1602)
-    random_groups = []
-    for _ in range(20):
-        degree = rng.randint(2, 6)
-        gens = [Perm(rng.sample(range(degree), degree))
-                for _ in range(rng.randint(1, 2))]
-        random_groups.append(PermGroup(degree, gens))
-    corpus = ([symmetric_group(n) for n in range(1, 6)]
-              + [alternating_group(n) for n in range(1, 6)]
-              + [dihedral_group(n) for n in range(3, 9)]
-              + [cyclic_group(n) for n in range(1, 13)]
-              + [klein_four_group(),
-                 direct_product(cyclic_group(4), cyclic_group(8)),
-                 direct_product(symmetric_group(3), cyclic_group(4))]
-              + random_groups)
-    for group in corpus:
+    for group in small_groups():
         for p in range(1, 13):
             structure = cp_quotient_perm(group, p)
             qa = quotient_regular_action(group, cp_subgroup(group, p))

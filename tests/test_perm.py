@@ -1,9 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 
 from cpgroups.errors import CapExceeded
-from cpgroups.perm import (Perm, PermGroup, alternating_group,
+from cpgroups.perm import (Perm, PermGroup, _cayley, alternating_group,
                            aut_group_search, center, centralizer, commutator,
                            cyclic_group, derived_subgroup, dihedral_group,
                            direct_product, format_cycles, is_complete,
@@ -11,6 +12,7 @@ from cpgroups.perm import (Perm, PermGroup, alternating_group,
                            quotient_regular_action, symmetric_group,
                            trivial_group)
 
+from corpus import small_groups
 from oracles import mulclose
 
 
@@ -88,6 +90,8 @@ def test_degree_cap():
     big = PermGroup(70, [Perm(tuple(range(1, 70)) + (0,))])
     with pytest.raises(CapExceeded):
         big.order()
+    with pytest.raises(CapExceeded):
+        big.elements()
     assert PermGroup(70, [Perm(tuple(range(1, 70)) + (0,))],
                      degree_cap=None).order() == 70
 
@@ -139,6 +143,23 @@ def test_normal_closure():
     assert normal_closure(s4, [parse_cycles("(1 2)", 4)]).order() == 24
     with pytest.raises(ValueError):
         normal_closure(alternating_group(4), [parse_cycles("(1 2)", 4)])
+
+
+def test_elements_walk_matches_closure():
+    for group in small_groups():
+        elements = group.elements()
+        gens = list(group.generators) or [Perm.identity(group.degree)]
+        assert {x.images for x in elements} == mulclose(gens), group
+        assert len(elements) == group.order(), group
+        # the tree edges and right-multiplication columns of the same walk
+        walk, index, right, parent, pgen = _cayley(group.degree, group.generators)
+        assert tuple(walk) == elements
+        assert all(index[x] == i for i, x in enumerate(walk))
+        for i in range(1, len(walk)):
+            assert parent[i] < i
+            assert walk[i] == walk[parent[i]] * group.generators[pgen[i]]
+        for k, g in enumerate(group.generators):
+            assert [walk[j] for j in right[k]] == [x * g for x in walk]
 
 
 def test_quotient_regular_action():
@@ -204,7 +225,7 @@ def test_aut_set_is_closed_and_contains_inner():
     rng = random.Random(9)
     for _ in range(20):
         m1, m2 = rng.choice(aset.maps), rng.choice(aset.maps)
-        assert (m1.element_perm * m2.element_perm) in perm_group
+        assert (m1 * m2) in perm_group
     for x in g.generators:
         assert aset.conjugation_map(x) in perm_group
 
@@ -213,10 +234,9 @@ def test_aut_apply_matches_generator_images():
     g = symmetric_group(3)
     aset = aut_group_search(g)
     for m in aset.maps:
-        for gen, image in zip(g.generators, m.images):
-            assert aset.apply(m, gen) == image
-        x, y = g.generators
-        assert aset.apply(m, x * y) == aset.apply(m, x) * aset.apply(m, y)
+        for x in g.elements():
+            for y in g.elements():
+                assert aset.apply(m, x * y) == aset.apply(m, x) * aset.apply(m, y)
 
 
 def test_aut_s6_has_outer_half():
@@ -225,6 +245,32 @@ def test_aut_s6_has_outer_half():
     assert len(aset.maps) == 1440
     assert aset.inner_order() == 720
     assert len(aset.maps) // aset.inner_order() == 2
+
+
+# search nodes per group, pinned so that any change in candidate order or
+# pruning shows up here
+AUT_NODES = {
+    "Z1": 0, "Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4,
+    "Z9": 6, "Z10": 4, "Z11": 10, "Z12": 4, "Z13": 12, "Z14": 6, "Z15": 8,
+    "Z16": 8, "Z17": 16, "Z18": 6, "Z19": 18, "Z20": 8, "Z21": 12, "Z22": 10,
+    "Z23": 22, "Z24": 8, "D3": 8, "D4": 10, "D5": 24, "D6": 14, "D7": 48,
+    "D8": 36, "D9": 60, "D10": 44, "D11": 120, "D12": 52, "A4": 72, "A5": 500,
+    "S5": 250, "S6": 7230,
+}
+
+
+def test_aut_orders_match_closed_forms():
+    def phi(n):
+        return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+    cases = ([(f"Z{n}", cyclic_group(n), phi(n)) for n in range(1, 25)]
+             + [(f"D{n}", dihedral_group(n), n * phi(n)) for n in range(3, 13)]
+             + [("A4", alternating_group(4), 24), ("A5", alternating_group(5), 120),
+                ("S5", symmetric_group(5), 120), ("S6", symmetric_group(6), 1440)])
+    for name, group, order in cases:
+        aset = aut_group_search(group)
+        assert aset.complete and len(aset.maps) == order, name
+        assert aset.nodes_used == AUT_NODES[name], name
 
 
 def test_aut_budget_truncation_flags_incomplete():
