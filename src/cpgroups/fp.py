@@ -14,6 +14,13 @@ g, g^-1, next generator, and so on. That numbering is a convention of this
 module, chosen so that tables, spanning trees, and Schreier generators are
 reproducible across runs.
 
+The lowest undefined entry is found from a cursor rather than by a rescan
+from coset 0, so choosing the next definition no longer costs a pass over
+the whole table. Every live row below the cursor is complete. Definitions
+only fill entries or append rows, and the one statement that empties an
+entry of a possibly live row (in coincidence processing) lowers the cursor
+to that row, so the cursor finds exactly the entry a rescan would.
+
 Tables validate their own invariants on construction: every column is a
 bijection, every relator traces to the identity at every coset, and the
 subgroup words fix coset 0.
@@ -107,6 +114,11 @@ class Word:
         for g, e in self.syllables:
             parts.append(names[g] if e == 1 else f"{names[g]}^{e}")
         return " ".join(parts)
+
+
+def _columns(word):
+    """The word as a tuple of coset table columns: 2*g for g, 2*g + 1 for g^-1."""
+    return tuple(c for g, e in word.syllables for c in (2 * g + (e < 0),) * abs(e))
 
 
 @dataclass(frozen=True)
@@ -286,17 +298,22 @@ class CosetTable:
                         raise ValueError("table is not in first-appearance order")
                     seen_max = t
         for rel in self.presentation.relators:
+            columns = _columns(rel)
             for a in range(n):
-                if self.trace(a, rel) != a:
+                if self._walk(a, columns) != a:
                     raise ValueError(f"relator does not close at coset {a}")
         for w in self.subgroup_words:
             if self.trace(0, w) != 0:
                 raise ValueError("subgroup word does not fix coset 0")
 
-    def trace(self, coset, word):
-        for g, s in word.letters():
-            coset = self.rows[coset][2 * g + (0 if s > 0 else 1)]
+    def _walk(self, coset, columns):
+        rows = self.rows
+        for c in columns:
+            coset = rows[coset][c]
         return coset
+
+    def trace(self, coset, word):
+        return self._walk(coset, _columns(word))
 
     def generator_perms(self):
         """The coset action of each generator, as a permutation of cosets."""
@@ -366,18 +383,18 @@ class _Enumerator:
         self.table = [[None] * self.cols]
         self.p = [0]
         self.total = 1
+        # every live row below the cursor is complete (see first_undefined)
+        self.cursor = 0
         self.deductions = []
         self.rot_by_first = {}
         for rel in presentation.relators:
-            letters = tuple(2 * g + (0 if s > 0 else 1) for g, s in rel.letters())
+            letters = _columns(rel)
             for k in range(len(letters)):
                 rot = letters[k:] + letters[:k]
                 bucket = self.rot_by_first.setdefault(rot[0], [])
                 if rot not in bucket:
                     bucket.append(rot)
-        self.subgroup_letters = [
-            tuple(2 * g + (0 if s > 0 else 1) for g, s in w.letters())
-            for w in subgroup_words]
+        self.subgroup_letters = [_columns(w) for w in subgroup_words]
 
     def find(self, i):
         r = i
@@ -390,9 +407,10 @@ class _Enumerator:
 
     def define(self, a, c):
         if self.total >= self.max_cosets:
+            live = sum(1 for i, r in enumerate(self.p) if i == r)
             raise BudgetExhausted(
-                f"coset budget {self.max_cosets} exhausted; "
-                "index unknown (possibly infinite)")
+                f"coset budget {self.max_cosets} exhausted with {live} live "
+                "cosets; index unknown (possibly infinite)")
         b = len(self.table)
         self.table.append([None] * self.cols)
         self.p.append(b)
@@ -424,7 +442,11 @@ class _Enumerator:
                     continue
                 row[c] = None
                 if self.table[d][c ^ 1] == dead:
+                    # the only place an entry of a possibly live row is
+                    # emptied, so the cursor invariant is restored here
                     self.table[d][c ^ 1] = None
+                    if d < self.cursor:
+                        self.cursor = d
                 mu = self.find(dead)
                 nu = self.find(d)
                 if self.table[mu][c] is not None:
@@ -442,33 +464,34 @@ class _Enumerator:
         Returns True once the scan is complete or produced a deduction;
         False if a gap of length >= 2 remains (never with fill=True).
         """
-        f = self.find(alpha)
+        table, p = self.table, self.p
+        f = alpha if p[alpha] == alpha else self.find(alpha)
         b = f
         i, j = 0, len(letters) - 1
         while True:
             while i <= j:
-                t = self.table[f][letters[i]]
+                t = table[f][letters[i]]
                 if t is None:
                     break
-                f = self.find(t)
+                f = t if p[t] == t else self.find(t)
                 i += 1
             if i > j:
                 if f != b:
                     self.coincide(f, b)
                 return True
             while j >= i:
-                t = self.table[b][letters[j] ^ 1]
+                t = table[b][letters[j] ^ 1]
                 if t is None:
                     break
-                b = self.find(t)
+                b = t if p[t] == t else self.find(t)
                 j -= 1
             if j < i:
                 if f != b:
                     self.coincide(f, b)
                 return True
             if j == i:
-                self.table[f][letters[i]] = b
-                self.table[b][letters[i] ^ 1] = f
+                table[f][letters[i]] = b
+                table[b][letters[i] ^ 1] = f
                 self.deductions.append((f, letters[i]))
                 return True
             if not fill:
@@ -476,25 +499,34 @@ class _Enumerator:
             self.define(f, letters[i])
 
     def process_deductions(self):
+        p = self.p
         while self.deductions:
             a, c = self.deductions.pop()
-            a = self.find(a)
+            if p[a] != a:
+                a = self.find(a)
             for rot in self.rot_by_first.get(c, ()):
                 self.scan(a, rot)
             t = self.table[a][c]
             if t is not None:
-                b = self.find(t)
+                b = t if p[t] == t else self.find(t)
                 for rot in self.rot_by_first.get(c ^ 1, ()):
                     self.scan(b, rot)
 
     def first_undefined(self):
-        for a in range(len(self.table)):
-            if self.p[a] != a:
-                continue
-            row = self.table[a]
-            for c in range(self.cols):
-                if row[c] is None:
-                    return a, c
+        """The lowest undefined entry of the lowest live coset, or None.
+
+        Scans from the cursor and leaves it at the row returned (or at the
+        end of the table when it is complete).
+        """
+        table, p = self.table, self.p
+        for a in range(self.cursor, len(table)):
+            if p[a] == a:
+                row = table[a]
+                for c in range(self.cols):
+                    if row[c] is None:
+                        self.cursor = a
+                        return a, c
+        self.cursor = len(table)
         return None
 
     def run(self):
@@ -633,23 +665,24 @@ def reidemeister_schreier(presentation, table):
     """
     sgens = table.schreier_generators()
     edge_index = {(a, g): k for k, (a, g, _) in enumerate(sgens)}
+    rows = table.rows
+    relator_columns = [_columns(rel) for rel in presentation.relators]
     rewritten = []
     for alpha in range(table.index):
-        for rel in presentation.relators:
+        for columns in relator_columns:
             cur = alpha
             syls = []
-            for g, s in rel.letters():
-                if s > 0:
-                    k = edge_index.get((cur, g))
-                    if k is not None:
-                        syls.append((k, 1))
-                    cur = table.rows[cur][2 * g]
-                else:
-                    prev = table.rows[cur][2 * g + 1]
-                    k = edge_index.get((prev, g))
+            for c in columns:
+                nxt = rows[cur][c]
+                if c & 1:
+                    k = edge_index.get((nxt, c >> 1))
                     if k is not None:
                         syls.append((k, -1))
-                    cur = prev
+                else:
+                    k = edge_index.get((cur, c >> 1))
+                    if k is not None:
+                        syls.append((k, 1))
+                cur = nxt
             if cur != alpha:
                 raise RuntimeError("relator trace did not close")  # unreachable
             rewritten.append(Word(tuple(syls)))

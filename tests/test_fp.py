@@ -1,7 +1,10 @@
+import random
+import time
+
 import pytest
 
 from cpgroups.errors import BudgetExhausted, PresentationSyntaxError
-from cpgroups.fp import (CosetTable, Word, abelianization,
+from cpgroups.fp import (CosetTable, Word, _Enumerator, abelianization,
                          evaluate_word, kernel_coset_table,
                          parse_presentation, parse_word,
                          reidemeister_schreier, todd_coxeter, verify_hom)
@@ -96,25 +99,32 @@ def test_todd_coxeter_whole_group_subgroup():
     assert table.index == 1
 
 
+# presentations with faithful permutation realizations, orders <= 48
+REALIZATIONS = [
+    ("< a | a^12 >", ["(1 2 3 4 5 6 7 8 9 10 11 12)"]),
+    ("< a, b | a^3, b^2, a b a b >", ["(1 2 3)", "(1 2)"]),
+    ("< a, b | a^6, b^2, a b a b >",
+     ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"]),
+    ("< a, b | a^4, b^2, a b a b a b >", ["(1 2 3 4)", "(1 2)"]),
+    ("< a, b | a^3, b^3, a b a^-1 b^-1 >", ["(1 2 3)", "(4 5 6)"]),
+    ("< a, b | a^12, b^2, a b a b >",
+     ["(1 2 3 4 5 6 7 8 9 10 11 12)",
+      "(1 12)(2 11)(3 10)(4 9)(5 8)(6 7)"]),
+    ("< a, b | a^4, b^4, a b a^-1 b^-1 >", ["(1 2 3 4)", "(5 6 7 8)"]),
+]
+
+
+def realization(text, gens):
+    p = parse_presentation(text)
+    perms = [parse_cycles(s) for s in gens]
+    degree = max(x.degree for x in perms)
+    return p, [x.extended(degree) for x in perms]
+
+
 def test_todd_coxeter_against_realizations():
-    # presentations with faithful permutation realizations, orders <= 48
-    cases = [
-        ("< a | a^12 >", ["(1 2 3 4 5 6 7 8 9 10 11 12)"]),
-        ("< a, b | a^3, b^2, a b a b >", ["(1 2 3)", "(1 2)"]),
-        ("< a, b | a^6, b^2, a b a b >",
-         ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"]),
-        ("< a, b | a^4, b^2, a b a b a b >", ["(1 2 3 4)", "(1 2)"]),
-        ("< a, b | a^3, b^3, a b a^-1 b^-1 >", ["(1 2 3)", "(4 5 6)"]),
-        ("< a, b | a^12, b^2, a b a b >",
-         ["(1 2 3 4 5 6 7 8 9 10 11 12)",
-          "(1 12)(2 11)(3 10)(4 9)(5 8)(6 7)"]),
-        ("< a, b | a^4, b^4, a b a^-1 b^-1 >", ["(1 2 3 4)", "(5 6 7 8)"]),
-    ]
-    for text, gens in cases:
-        p = parse_presentation(text)
-        perms = [parse_cycles(s) for s in gens]
-        degree = max(x.degree for x in perms)
-        perms = [x.extended(degree) for x in perms]
+    for text, gens in REALIZATIONS:
+        p, perms = realization(text, gens)
+        degree = perms[0].degree
         assert verify_hom(p, perms), text
         order = len(mulclose(perms))
         word_lists = [[], ["a"], ["a^2"]]
@@ -132,10 +142,16 @@ def test_todd_coxeter_against_realizations():
                 assert evaluate_word(rel, action).is_identity()
 
 
-def test_todd_coxeter_fuzz_random_subgroup_words():
-    # random subgroup generator words in faithful presentations; the index
-    # must always be |G| / |image subgroup|, however ugly the coincidences
-    import random
+def test_todd_coxeter_matches_kernel_table_of_faithful_realizations():
+    # independent oracle: both numberings are standardized, and the kernel
+    # of a faithful realization is the trivial subgroup
+    for text, gens in REALIZATIONS:
+        p, perms = realization(text, gens)
+        assert todd_coxeter(p).rows == kernel_coset_table(p, perms).rows, text
+
+
+def fuzz_cases():
+    """Random subgroup words in faithful presentations: (p, perms, words)."""
     rng = random.Random(1618)
     cases = [
         ("< a, b | a^4, b^2, a b a b >", ["(1 2 3 4)", "(1 3)"]),
@@ -143,26 +159,120 @@ def test_todd_coxeter_fuzz_random_subgroup_words():
         ("< a, b | a^6, b^2, a b a b >", ["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"]),
     ]
     for text, gens in cases:
-        p = parse_presentation(text)
-        perms = [parse_cycles(s) for s in gens]
-        degree = max(x.degree for x in perms)
-        perms = [x.extended(degree) for x in perms]
-        order = len(mulclose(perms))
+        p, perms = realization(text, gens)
         for _ in range(12):
             words = []
             for _ in range(rng.randint(1, 3)):
                 syls = tuple((rng.randrange(p.ngens), rng.choice([-2, -1, 1, 2, 3]))
                              for _ in range(rng.randint(1, 4)))
                 words.append(Word(syls))
-            table = todd_coxeter(p, words)
-            image = mulclose([evaluate_word(w, perms) for w in words])
-            assert table.index == order // len(image), (text, words)
+            yield p, perms, words
+
+
+def test_todd_coxeter_fuzz_random_subgroup_words():
+    # the index must always be |G| / |image subgroup|, however ugly the
+    # coincidences
+    for p, perms, words in fuzz_cases():
+        table = todd_coxeter(p, words)
+        image = mulclose([evaluate_word(w, perms) for w in words])
+        assert table.index == len(mulclose(perms)) // len(image), (p, words)
+
+
+class RescanEnumerator(_Enumerator):
+    """The enumerator with the full rescan from coset 0 that the cursor
+    replaced, kept as the reference for its definition order."""
+
+    def first_undefined(self):
+        for a in range(len(self.table)):
+            if self.p[a] != a:
+                continue
+            row = self.table[a]
+            for c in range(self.cols):
+                if row[c] is None:
+                    return a, c
+        return None
+
+
+def coxeter(n):
+    """The Coxeter presentation of S_n on s0..s_{n-2}."""
+    names = [f"s{i}" for i in range(n - 1)]
+    rels = [f"{s}^2" for s in names]
+    for i in range(n - 1):
+        for j in range(i + 1, n - 1):
+            rels.append(" ".join([names[i], names[j]] * (3 if j == i + 1 else 2)))
+    return parse_presentation(f"< {', '.join(names)} | {', '.join(rels)} >")
+
+
+def power(word, k):
+    return " ".join([word] * k)
+
+
+def triangle(l, m, n):
+    return parse_presentation(f"< a, b | a^{l}, b^{m}, {power('a b', n)} >")
+
+
+PSL27 = parse_presentation(
+    f"< a, b | a^2, b^3, {power('a b', 7)}, {power('a b a^-1 b^-1', 4)} >")
+
+INFINITE = {
+    "trefoil": parse_presentation("< a, b | a^3 = b^2 >"),
+    "237": triangle(2, 3, 7),
+    "334": triangle(3, 3, 4),
+}
+
+
+def cursor_corpus():
+    for n in (4, 5, 6):
+        p = coxeter(n)
+        for mask in range(1 << p.ngens):
+            yield p, [p.word(name) for k, name in enumerate(p.generators)
+                      if mask >> k & 1]
+    for p in (triangle(2, 3, 5), PSL27):
+        for words in ([], ["a"], ["b"], ["a b"]):
+            yield p, [p.word(t) for t in words]
+    for p, _, words in fuzz_cases():
+        yield p, words
+
+
+def test_cursor_enumeration_matches_full_rescan():
+    count = 0
+    for p, words in cursor_corpus():
+        fast = _Enumerator(p, words, 10_000)
+        slow = RescanEnumerator(p, words, 10_000)
+        assert fast.run() == slow.run(), (p, words)
+        assert fast.total == slow.total, (p, words)
+        count += 1
+    assert count == 8 + 16 + 32 + 2 * 4 + 36
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE))
+def test_cursor_budget_matches_full_rescan(name):
+    p = INFINITE[name]
+    for budget in (100, 250, 600, 2000):
+        outcomes = []
+        for enum in (_Enumerator(p, (), budget), RescanEnumerator(p, (), budget)):
+            with pytest.raises(BudgetExhausted) as info:
+                enum.run()
+            outcomes.append((str(info.value), enum.total, enum.table, enum.p))
+        assert outcomes[0] == outcomes[1], (name, budget)
+        live = sum(1 for i, r in enumerate(outcomes[1][3]) if i == r)
+        assert f"exhausted with {live} live cosets;" in outcomes[0][0]
 
 
 def test_todd_coxeter_budget_is_an_explicit_outcome():
     free_product = parse_presentation("< a, b | a^2, b^2 >")  # infinite
     with pytest.raises(BudgetExhausted):
         todd_coxeter(free_product, max_cosets=100)
+
+
+def test_coset_budget_runs_out_in_bounded_time():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted) as info:
+        todd_coxeter(INFINITE["trefoil"], max_cosets=50_000)
+    assert time.perf_counter() - start < 10
+    # the trefoil enumeration meets no coincidence, so every coset is live
+    assert str(info.value) == ("coset budget 50000 exhausted with 50000 live "
+                               "cosets; index unknown (possibly infinite)")
 
 
 def test_todd_coxeter_deterministic():
