@@ -13,9 +13,9 @@ from .homalg import (AbelianStructure, E2Table, IntMatrix, TRIVIAL, Z,
 from .perm import (AutomorphismSet, Perm, PermGroup, QuotientAction,
                    alternating_group, aut_group_search, center, centralizer,
                    commutator, cyclic_group, derived_subgroup, dihedral_group,
-                   direct_product, format_cycles, is_complete,
-                   klein_four_group, normal_closure, parse_cycles,
-                   quotient_regular_action, symmetric_group, trivial_group)
+                   direct_product, format_cycles, klein_four_group,
+                   normal_closure, parse_cycles, quotient_regular_action,
+                   symmetric_group, trivial_group)
 from .fp import (CosetTable, FpPresentation, Word, abelianization,
                  evaluate_word, kernel_coset_table, parse_presentation,
                  parse_word, reidemeister_schreier, todd_coxeter, verify_hom)

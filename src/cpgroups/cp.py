@@ -51,7 +51,9 @@ def cp_subgroup(group, p):
         q = g ** p
         if not q.is_identity() and q not in gens:
             gens.append(q)
-    return group._make_subgroup(gens)
+    chain = derived.chain.copy()  # the cached chain itself stays as it is
+    chain.extend(gens[len(derived.generators):])
+    return group._make_subgroup(gens, chain)
 
 
 def cp_quotient_fp(presentation, p):

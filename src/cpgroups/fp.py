@@ -687,20 +687,23 @@ def reidemeister_schreier(presentation, table):
                 raise RuntimeError("relator trace did not close")  # unreachable
             rewritten.append(Word(tuple(syls)))
 
+    # Deleting a set K of generators and then reducing freely is the
+    # free-group retraction that kills K. That map is unique and composes
+    # over unions, so a relator whose image is x^+-1 keeps that image, or
+    # becomes empty, as K grows. The killed set is therefore the least
+    # fixpoint whatever the order of kills, and each pass kills every
+    # generator that a single-letter relator trivializes at once.
     killed = set()
     rels = rewritten
     while True:
         rels = [w for w in rels if w.syllables]
-        victim = None
-        for w in rels:
-            g, e = w.syllables[0]
-            if len(w.syllables) == 1 and abs(e) == 1:
-                victim = g
-                break
-        if victim is None:
+        victims = {w.syllables[0][0] for w in rels
+                   if len(w.syllables) == 1 and abs(w.syllables[0][1]) == 1}
+        if not victims:
             break
-        killed.add(victim)
-        rels = [Word(tuple(s for s in w.syllables if s[0] != victim)) for w in rels]
+        killed |= victims
+        rels = [Word(tuple(s for s in w.syllables if s[0] not in victims))
+                for w in rels]
 
     alive = [k for k in range(len(sgens)) if k not in killed]
     remap = {old: new for new, old in enumerate(alive)}

@@ -81,31 +81,6 @@ class IntMatrix:
     def diagonal_entries(self):
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
-    def determinant(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __str__(self):
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]"
                                for row in self.entries) + "]"

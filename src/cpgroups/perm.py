@@ -9,9 +9,13 @@ tables in the fp module.
 Orders and membership come from a stabilizer chain built by a deterministic
 Schreier-Sims procedure: no randomized strong-generator filling, Schreier
 generators are processed in sorted orbit order, so rebuilding a group from
-the same generator list reproduces the same chain. A PermGroup lazily builds
-its chain behind a lock; once built, every query is read-only, so sharing a
-group between threads is safe.
+the same generator list reproduces the same chain. A chain grows in place
+by `extend`, so a subgroup built one element or one round at a time keeps
+one chain. A PermGroup lazily builds its chain behind a lock, or receives
+one already built for its generators. A chain is extended only before its
+group is returned, and a cached chain is never mutated (`cp_subgroup`
+extends a copy of the derived subgroup's chain); once built, every query
+is read-only, so sharing a group between threads is safe.
 
 Elements come from one breadth-first walk of the Cayley graph. The
 automorphism search reads its multiplication table off that walk,
@@ -28,7 +32,7 @@ import threading
 from functools import lru_cache
 from math import lcm
 
-from .errors import BudgetExhausted, CapExceeded
+from .errors import CapExceeded
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_INDEX_CAP = 10_000
@@ -221,22 +225,40 @@ class _StabilizerChain:
     u(base[i]) = d.
     """
 
-    def __init__(self, degree, generators):
+    def __init__(self, degree, generators=()):
         self.degree = degree
         self.base = []
         self.strong = []
         self.transversals = []
+        self.extend(generators)
+
+    def extend(self, generators):
+        """Add generators to the group; True iff the group grew.
+
+        Levels deeper than the deepest one that received a residue are
+        untouched, so re-verification starts at that level, not at the last.
+        """
+        deepest = -1
         for g in generators:
             residue, level = self._strip(g)
             if not residue.is_identity():
-                self._place(residue, level)
-        i = len(self.base) - 1
+                deepest = max(deepest, self._place(residue, level))
+        i = deepest
         while i >= 0:
             placed = self._check_level(i)
             if placed is None:
                 i -= 1
             else:
                 i = placed
+        return deepest >= 0
+
+    def copy(self):
+        """An independent chain for the same group (Perms are immutable)."""
+        other = _StabilizerChain(self.degree)
+        other.base = list(self.base)
+        other.strong = list(self.strong)
+        other.transversals = [dict(tr) for tr in self.transversals]
+        return other
 
     def _gens_at(self, i):
         prefix = self.base[:i]
@@ -367,17 +389,21 @@ class PermGroup:
         self._center = None
         self._aut = None
 
-    def _make_subgroup(self, generators):
-        return PermGroup(self.degree, generators, degree_cap=self.degree_cap)
+    def _make_subgroup(self, generators, chain=None):
+        """Subgroup on these generators; `chain`, if given, must have been
+        built for exactly them."""
+        sub = PermGroup(self.degree, generators, degree_cap=self.degree_cap)
+        sub._chain = chain
+        return sub
 
     @property
     def chain(self):
+        # checked on every access, so it also holds for an installed chain
+        if self.degree_cap is not None and self.degree > self.degree_cap:
+            raise CapExceeded(f"degree {self.degree} exceeds cap {self.degree_cap}")
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    if self.degree_cap is not None and self.degree > self.degree_cap:
-                        raise CapExceeded(
-                            f"degree {self.degree} exceeds cap {self.degree_cap}")
                     self._chain = _StabilizerChain(self.degree, self.generators)
         return self._chain
 
@@ -432,17 +458,21 @@ def normal_closure(group, seeds):
             raise ValueError(f"element {s} is not in the group")
         if not s.is_identity() and s not in gens:
             gens.append(s)
-    closure = group._make_subgroup(gens)
-    while True:
+    chain = _StabilizerChain(group.degree, gens)
+    # conjugates of older generators were tested in earlier rounds, so each
+    # round conjugates only the generators the previous round added
+    frontier = gens
+    while frontier:
         new = []
-        for h in closure.generators:
+        for h in frontier:
             for g in group.generators:
                 c = g.inverse() * h * g
-                if c not in closure and c not in new:
+                if not chain.contains(c) and c not in new:
                     new.append(c)
-        if not new:
-            return closure
-        closure = group._make_subgroup(closure.generators + tuple(new))
+        chain.extend(new)
+        gens = gens + new
+        frontier = new
+    return group._make_subgroup(gens, chain)
 
 
 def derived_subgroup(group):
@@ -458,13 +488,9 @@ def derived_subgroup(group):
 def _reduce_generators(group, elements):
     """Subgroup of `group` generated by the elements, keeping in order each
     one that is not yet in the span of those kept before it."""
-    kept = []
-    sub = group._make_subgroup(())
-    for x in elements:
-        if not x.is_identity() and x not in sub:
-            kept.append(x)
-            sub = group._make_subgroup(kept)
-    return sub
+    chain = _StabilizerChain(group.degree)
+    kept = [x for x in elements if chain.extend([x])]
+    return group._make_subgroup(kept, chain)
 
 
 def _require_normal(group, sub, name):
@@ -722,18 +748,6 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
         result.as_perm_group()  # certifies closure
         group._aut = result
     return result
-
-
-def is_complete(group, budget=DEFAULT_AUT_NODE_BUDGET):
-    """True iff the center is trivial and every automorphism is inner."""
-    if center(group).order() > 1:
-        return False
-    aset = aut_group_search(group, budget)
-    if aset.complete:
-        return len(aset.maps) == group.order()
-    if len(aset.maps) > group.order():
-        return False
-    raise BudgetExhausted("automorphism search budget exhausted before a verdict")
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,8 @@ from cpgroups.fp import FpPresentation, Word, abelianization, parse_presentation
 from cpgroups.homalg import AbelianStructure, IntMatrix, cokernel_structure, \
     cyclic, tensor_with_zp
 from cpgroups.perm import (PermGroup, alternating_group,
-                           aut_group_search, cyclic_group, dihedral_group,
-                           direct_product, klein_four_group,
+                           aut_group_search, cyclic_group, derived_subgroup,
+                           dihedral_group, direct_product, klein_four_group,
                            quotient_regular_action, symmetric_group,
                            trivial_group)
 
@@ -226,6 +226,25 @@ def test_verdict_s3():
     even = cp_group_verdict(symmetric_group(3), 2)
     assert (even.status, even.reason) == ("NOT_CP_GROUP", "COMPLETE_CRITERION")
     assert even.certificate["cp_order"] == 3
+
+
+def test_verdict_complete_criterion():
+    # S_3 and S_5 are complete; S_6 has an outer automorphism and Z_2 a
+    # center, and C^2 moves all four
+    for group, complete in ((symmetric_group(3), True), (symmetric_group(5), True),
+                            (symmetric_group(6), False), (cyclic_group(2), False)):
+        verdict = cp_group_verdict(group, 2)
+        assert (verdict.reason == "COMPLETE_CRITERION") == complete, group
+
+
+def test_cp_subgroup_leaves_the_cached_derived_chain_unchanged():
+    for group in small_groups():
+        chain = derived_subgroup(group).chain
+        state = (chain.order(), len(chain.base), len(chain.strong))
+        for p in range(1, 13):
+            cp_subgroup(group, p)
+            assert (chain.order(), len(chain.base), len(chain.strong)) == state, (group, p)
+        assert derived_subgroup(group).chain is chain
 
 
 def test_verdict_s6_uses_aut_criterion():

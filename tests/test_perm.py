@@ -4,11 +4,12 @@ from math import gcd
 import pytest
 
 from cpgroups.errors import CapExceeded
-from cpgroups.perm import (Perm, PermGroup, _cayley, alternating_group,
+from cpgroups.perm import (Perm, PermGroup, _cayley, _reduce_generators,
+                           _StabilizerChain, alternating_group,
                            aut_group_search, center, centralizer, commutator,
                            cyclic_group, derived_subgroup, dihedral_group,
-                           direct_product, format_cycles, is_complete,
-                           klein_four_group, normal_closure, parse_cycles,
+                           direct_product, format_cycles, klein_four_group,
+                           normal_closure, parse_cycles,
                            quotient_regular_action, symmetric_group,
                            trivial_group)
 
@@ -92,6 +93,11 @@ def test_degree_cap():
         big.order()
     with pytest.raises(CapExceeded):
         big.elements()
+    # subgroups that receive a ready-built chain keep the cap too
+    with pytest.raises(CapExceeded):
+        normal_closure(big, []).order()
+    with pytest.raises(CapExceeded):
+        _reduce_generators(big, [Perm.identity(70)]).order()
     assert PermGroup(70, [Perm(tuple(range(1, 70)) + (0,))],
                      degree_cap=None).order() == 70
 
@@ -280,13 +286,6 @@ def test_aut_budget_truncation_flags_incomplete():
     assert not aset.complete
 
 
-def test_is_complete():
-    assert is_complete(symmetric_group(3)) is True
-    assert is_complete(cyclic_group(2)) is False
-    assert is_complete(symmetric_group(6)) is False
-    assert is_complete(symmetric_group(5)) is True
-
-
 def test_commutator():
     a = parse_cycles("(1 2)", 3)
     b = parse_cycles("(1 2 3)")
@@ -294,12 +293,12 @@ def test_commutator():
     assert commutator(b, b).is_identity()
 
 
-def test_chain_fuzz_random_generator_pairs():
-    # random two-generator groups of degree <= 6; whenever the closure is
-    # small enough to enumerate, the chain must agree with it exactly
+def fuzz_generator_pairs():
+    """40 random two-generator groups of degree 3..6 whose closure has at
+    most 200 elements: (degree, generators, closure)."""
     rng = random.Random(271828)
-    checked = 0
-    while checked < 40:
+    found = 0
+    while found < 40:
         degree = rng.randint(3, 6)
         gens = []
         for _ in range(2):
@@ -309,6 +308,14 @@ def test_chain_fuzz_random_generator_pairs():
         closure = mulclose(gens)
         if len(closure) > 200:
             continue
+        yield degree, gens, closure
+        found += 1
+
+
+def test_chain_fuzz_random_generator_pairs():
+    # whenever the closure is small enough to enumerate, the chain must
+    # agree with it exactly
+    for degree, gens, closure in fuzz_generator_pairs():
         group = PermGroup(degree, gens)
         assert group.order() == len(closure)
         sample = sorted(closure)[:: max(1, len(closure) // 20)]
@@ -319,4 +326,65 @@ def test_chain_fuzz_random_generator_pairs():
                    if p not in closure]
         for images in sorted(outside)[:10]:
             assert Perm(images) not in group
-        checked += 1
+
+
+def test_chain_extend_matches_fresh_chain():
+    # one generator at a time, in two batches, and on a copy: each must
+    # give the chain built from all the generators at once
+    rng = random.Random(31)
+    # the direct products place residues at several levels in one pass, and
+    # each of those levels needs its own Schreier generators checked
+    products = [direct_product(a, b) for a, b in (
+        (cyclic_group(2), symmetric_group(4)), (symmetric_group(3), symmetric_group(4)),
+        (dihedral_group(4), alternating_group(4)), (cyclic_group(3), alternating_group(5)),
+        (klein_four_group(), dihedral_group(5)))]
+    cases = [(g.degree, list(g.generators)) for g in small_groups() + products]
+    cases += [(degree, gens) for degree, gens, _ in fuzz_generator_pairs()]
+    for degree, gens in cases:
+        closure = mulclose(gens) if gens else {tuple(range(degree))}
+        points = [Perm(x) for x in sorted(closure)]
+        points += [Perm(rng.sample(range(degree), degree)) for _ in range(20)]
+        fresh = _StabilizerChain(degree, gens)
+        assert fresh.order() == len(closure)
+        one = _StabilizerChain(degree)
+        for g in gens:
+            before = one.order()
+            assert one.extend([g]) == (one.order() > before)
+        half = len(gens) // 2
+        batches = _StabilizerChain(degree, gens[:half])
+        batches.extend(gens[half:])
+        first = _StabilizerChain(degree, gens[:half])
+        state = (first.order(), len(first.base), len(first.strong))
+        copied = first.copy()
+        copied.extend(gens[half:])
+        assert (first.order(), len(first.base), len(first.strong)) == state
+        for chain in (one, batches, copied):
+            assert chain.order() == fresh.order(), gens
+            for x in points:
+                assert chain.contains(x) == fresh.contains(x) == (x.images in closure)
+
+
+def rebuild_reduce(group, elements):
+    """The greedy loop that _reduce_generators replaced: a fresh group, and
+    so a fresh chain, for every kept element. Kept as its reference."""
+    kept = []
+    sub = PermGroup(group.degree, (), degree_cap=None)
+    for x in elements:
+        if not x.is_identity() and x not in sub:
+            kept.append(x)
+            sub = PermGroup(group.degree, kept, degree_cap=None)
+    return tuple(kept)
+
+
+def test_reduce_generators_matches_rebuild_reference():
+    for group in small_groups():
+        for elements in (group.generators, group.elements()):
+            sub = _reduce_generators(group, elements)
+            assert sub.generators == rebuild_reduce(group, elements)
+            assert sub.order() == group.order()
+    for n in (3, 4, 5):
+        aset = aut_group_search(symmetric_group(n))
+        ambient = PermGroup(len(aset.elements), (), degree_cap=None)
+        sub = _reduce_generators(ambient, aset.maps)
+        assert sub.generators == rebuild_reduce(ambient, aset.maps)
+        assert sub.order() == len(aset.maps)
