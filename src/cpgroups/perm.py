@@ -7,15 +7,20 @@ evaluate in the order they are written, matching how words act on coset
 tables in the fp module.
 
 Orders and membership come from a stabilizer chain built by a deterministic
-Schreier-Sims procedure: no randomized strong-generator filling, Schreier
-generators are processed in sorted orbit order, so rebuilding a group from
-the same generator list reproduces the same chain. A chain grows in place
+Schreier-Sims procedure: no randomized strong-generator filling, and
+Schreier generators are sifted in the order their orbit points were found,
+so rebuilding a group from the same generator list reproduces the same
+chain. Nothing is computed twice: transversals hold the image tuples of
+the inverse coset representatives, so sifting never inverts; orbits grow
+by the points a new generator reaches; and per-point counters let every
+Schreier check resume where the last one stopped. A chain grows in place
 by `extend`, so a subgroup built one element or one round at a time keeps
 one chain. A PermGroup lazily builds its chain behind a lock, or receives
 one already built for its generators. A chain is extended only before its
 group is returned, and a cached chain is never mutated (`cp_subgroup`
 extends a copy of the derived subgroup's chain); once built, every query
-is read-only, so sharing a group between threads is safe.
+is read-only, so sharing a group between threads is safe. Quotients G/N
+tell the cosets of N apart by a key read off N's chain.
 
 Elements come from one breadth-first walk of the Cayley graph. The
 automorphism search reads its multiplication table off that walk,
@@ -95,13 +100,10 @@ class Perm:
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
         o = other.images
-        return Perm._raw(tuple(o[x] for x in self.images))
+        return Perm._raw(tuple([o[x] for x in self.images]))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Perm._raw(tuple(inv))
+        return Perm._raw(_invert(self.images))
 
     def __pow__(self, k):
         if k < 0:
@@ -158,6 +160,14 @@ class Perm:
 
     def __repr__(self):
         return f"Perm({format_cycles(self)!r}, degree={self.degree})"
+
+
+def _invert(images):
+    """Image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, x in enumerate(images):
+        inv[x] = i
+    return tuple(inv)
 
 
 def commutator(a, b):
@@ -218,18 +228,30 @@ def parse_cycles(text, degree=None):
 
 
 class _StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain.
+    """Deterministic Schreier-Sims stabilizer chain, grown incrementally.
 
-    base[i] is fixed by every strong generator assigned to deeper levels;
-    transversals[i] maps each orbit point d to a permutation u with
-    u(base[i]) = d.
+    Level i has the base point base[i] and, in _gens[i], the strong
+    generators that fix base[:i], each as a pair of image tuples (s, s^-1).
+    transversals[i] maps each point d of the orbit of base[i], in the order
+    the points were found, to the image tuple of u_d^-1, where u_d is a
+    product of level generators with u_d(base[i]) = d. That tuple is the
+    only permutation stored per point: sifting composes tuples and never
+    inverts. _checked[i][j] counts the level generators s whose Schreier
+    generator u_d s u_{s(d)}^-1, for the j-th orbit point d, has been
+    sifted. Orbits and generator lists only grow, and a transversal element
+    never changes once set, so a Schreier generator that sifted to the
+    identity stays in the group of the deeper levels, and every check
+    resumes from the counters.
     """
 
     def __init__(self, degree, generators=()):
         self.degree = degree
+        self._identity = tuple(range(degree))
         self.base = []
         self.strong = []
         self.transversals = []
+        self._gens = []
+        self._checked = []
         self.extend(generators)
 
     def extend(self, generators):
@@ -240,8 +262,8 @@ class _StabilizerChain:
         """
         deepest = -1
         for g in generators:
-            residue, level = self._strip(g)
-            if not residue.is_identity():
+            residue, level = self._strip(g.images)
+            if residue != self._identity:
                 deepest = max(deepest, self._place(residue, level))
         i = deepest
         while i >= 0:
@@ -253,76 +275,93 @@ class _StabilizerChain:
         return deepest >= 0
 
     def copy(self):
-        """An independent chain for the same group (Perms are immutable)."""
+        """An independent chain for the same group (tuples are immutable)."""
         other = _StabilizerChain(self.degree)
         other.base = list(self.base)
         other.strong = list(self.strong)
         other.transversals = [dict(tr) for tr in self.transversals]
+        other._gens = [list(gens) for gens in self._gens]
+        other._checked = [list(counts) for counts in self._checked]
         return other
 
-    def _gens_at(self, i):
-        prefix = self.base[:i]
-        out = []
-        for s in self.strong:
-            img = s.images
-            if all(img[b] == b for b in prefix):
-                out.append(s)
-        return out
-
-    def _rebuild_orbit(self, i):
-        b = self.base[i]
-        gens = self._gens_at(i)
-        tr = {b: Perm.identity(self.degree)}
-        queue = [b]
-        qi = 0
-        while qi < len(queue):
-            d = queue[qi]
-            qi += 1
-            ud = tr[d]
-            for g in gens:
-                e = g.images[d]
-                if e not in tr:
-                    tr[e] = ud * g
-                    queue.append(e)
-        self.transversals[i] = tr
-
     def _strip(self, g, start=0):
-        i = start
-        while i < len(self.base):
-            d = g.images[self.base[i]]
-            tr = self.transversals[i]
-            if d not in tr:
-                return g, i
-            g = g * tr[d].inverse()
-            i += 1
-        return g, len(self.base)
+        """Sift the image tuple g from level `start`: (residue, level),
+        where level is the first level whose orbit misses the image of its
+        base point, or len(base)."""
+        base = self.base
+        transversals = self.transversals
+        for i in range(start, len(base)):
+            b = base[i]
+            d = g[b]
+            if d != b:  # u_b is the identity
+                v = transversals[i].get(d)
+                if v is None:
+                    return g, i
+                g = tuple([v[x] for x in g])
+        return g, len(base)
 
     def _place(self, g, level):
         # g fixes base[:level]; push it as deep as it goes
-        while level < len(self.base) and g.images[self.base[level]] == self.base[level]:
+        base = self.base
+        while level < len(base) and g[base[level]] == base[level]:
             level += 1
-        if level == len(self.base):
-            moved = next(p for p in range(self.degree) if g.images[p] != p)
-            self.base.append(moved)
-            self.transversals.append({})
-        self.strong.append(g)
+        if level == len(base):
+            b = next(p for p in range(self.degree) if g[p] != p)
+            base.append(b)
+            self.transversals.append({b: self._identity})
+            self._gens.append([])
+            self._checked.append([0])
+        self.strong.append(Perm._raw(g))
+        pair = (g, _invert(g))
         for k in range(level + 1):
-            self._rebuild_orbit(k)
+            self._gens[k].append(pair)
+            self._grow_orbit(k, pair)
         return level
 
+    def _grow_orbit(self, k, pair):
+        # the old orbit is closed under the old generators, so only the new
+        # generator moves old points; new points meet every generator
+        tr = self.transversals[k]
+        g, ginv = pair
+        new = []
+        for d, v in list(tr.items()):
+            e = g[d]
+            if e not in tr:
+                tr[e] = tuple([v[x] for x in ginv])  # u_e^-1 = g^-1 u_d^-1
+                new.append(e)
+        gens = self._gens[k]
+        for d in new:  # the list grows while it is walked
+            v = tr[d]
+            for s, sinv in gens:
+                e = s[d]
+                if e not in tr:
+                    tr[e] = tuple([v[x] for x in sinv])
+                    new.append(e)
+        counts = self._checked[k]
+        counts.extend([0] * (len(tr) - len(counts)))
+
     def _check_level(self, i):
+        """Sift the unchecked Schreier generators of level i; place the
+        first residue that is not the identity and return its level."""
         tr = self.transversals[i]
-        gens = self._gens_at(i)
-        for d in sorted(tr):
-            ud = tr[d]
-            for s in gens:
-                schreier = ud * s * tr[s.images[d]].inverse()
-                if schreier.is_identity():
+        gens = self._gens[i]
+        counts = self._checked[i]
+        identity = self._identity
+        n = len(gens)
+        for j, d in enumerate(tr):
+            if counts[j] == n:
+                continue
+            ud = _invert(tr[d])
+            for k in range(counts[j], n):
+                s = gens[k][0]
+                ve = tr[s[d]]
+                counts[j] = k + 1
+                schreier = tuple([ve[s[x]] for x in ud])  # u_d s u_{s(d)}^-1
+                if schreier == identity:
                     continue
                 residue, level = self._strip(schreier, i + 1)
-                if residue.is_identity():
-                    continue
-                return self._place(residue, level)
+                if residue != identity:
+                    return self._place(residue, level)
         return None
 
     def order(self):
@@ -332,8 +371,24 @@ class _StabilizerChain:
         return n
 
     def contains(self, g):
-        residue, _ = self._strip(g)
-        return residue.is_identity()
+        return self._strip(g.images)[0] == self._identity
+
+    def coset_key(self, x):
+        """A key shared by exactly the elements of the coset xN, where N is
+        this chain's group (for a normal N, xN = Nx).
+
+        Level by level, take the least point p that x maps into the orbit
+        and replace x by x u_d^-1, where d = x(p), so that p goes to the
+        base point. The point p and the coset of the level's stabilizer
+        that the new x lies in depend only on xN, and the pointwise
+        stabilizer of the base is trivial, so the last x, whose image tuple
+        is the key, is the same for every element of xN.
+        """
+        z = x.images
+        for tr in self.transversals:
+            v = tr[next(d for d in z if d in tr)]
+            z = tuple([v[d] for d in z])
+        return z
 
 
 def _cayley(degree, generators):
@@ -459,15 +514,18 @@ def normal_closure(group, seeds):
         if not s.is_identity() and s not in gens:
             gens.append(s)
     chain = _StabilizerChain(group.degree, gens)
+    conjugators = [(g.inverse(), g) for g in group.generators]
     # conjugates of older generators were tested in earlier rounds, so each
     # round conjugates only the generators the previous round added
     frontier = gens
     while frontier:
         new = []
+        seen = set()
         for h in frontier:
-            for g in group.generators:
-                c = g.inverse() * h * g
-                if not chain.contains(c) and c not in new:
+            for ginv, g in conjugators:
+                c = ginv * h * g
+                if c.images not in seen and not chain.contains(c):
+                    seen.add(c.images)
                     new.append(c)
         chain.extend(new)
         gens = gens + new
@@ -528,15 +586,12 @@ class QuotientAction:
     entries included). `image_of` extends the quotient map to any element.
     """
 
-    def __init__(self, group, images, reps, labels, n_elements):
+    def __init__(self, group, images, reps, labels, normal_chain):
         self.group = group
         self.images = images
         self._reps = reps
         self._labels = labels
-        self._n_elements = n_elements
-
-    def _canon(self, x):
-        return min((h * x).images for h in self._n_elements)
+        self._canon = normal_chain.coset_key
 
     def image_of(self, x):
         labels = self._labels
@@ -546,19 +601,19 @@ class QuotientAction:
 def quotient_regular_action(group, normal, index_cap=DEFAULT_INDEX_CAP):
     """G/N as a permutation group on the cosets of N (N must be normal).
 
-    Normality is always checked, never assumed. Returns a QuotientAction so
-    callers get both the quotient group and the quotient map on generators.
+    Normality is always checked, never assumed. Cosets are told apart by
+    `_StabilizerChain.coset_key` on N's chain, and labelled in the order a
+    breadth-first walk over G's generators meets them. Returns a
+    QuotientAction so callers get both the quotient group and the quotient
+    map on generators.
     """
     _require_normal(group, normal, "N")
     index = group.order() // normal.order()
     if index > index_cap:
         raise CapExceeded(f"index {index} exceeds cap {index_cap}")
-    n_elements = normal.elements()
+    chain = normal.chain
+    canon = chain.coset_key
     identity = Perm.identity(group.degree)
-
-    def canon(x):
-        return min((h * x).images for h in n_elements)
-
     reps = [identity]
     labels = {canon(identity): 0}
     qi = 0
@@ -577,7 +632,7 @@ def quotient_regular_action(group, normal, index_cap=DEFAULT_INDEX_CAP):
         Perm._raw(tuple(labels[canon(rep * g)] for rep in reps))
         for g in group.generators)
     quotient = PermGroup(index, images, degree_cap=None)
-    return QuotientAction(quotient, images, reps, labels, n_elements)
+    return QuotientAction(quotient, images, reps, labels, chain)
 
 
 def direct_product(g, h):

@@ -8,7 +8,7 @@ from cpgroups.errors import ConjugationNotInnerError
 from cpgroups.fp import FpPresentation, Word, abelianization, parse_presentation
 from cpgroups.homalg import AbelianStructure, IntMatrix, cokernel_structure, \
     cyclic, tensor_with_zp
-from cpgroups.perm import (PermGroup, alternating_group,
+from cpgroups.perm import (Perm, PermGroup, alternating_group,
                            aut_group_search, cyclic_group, derived_subgroup,
                            dihedral_group, direct_product, klein_four_group,
                            quotient_regular_action, symmetric_group,
@@ -107,6 +107,62 @@ def test_cp_functoriality_under_surjections():
                                degree_cap=None)
             target = cp_subgroup(qa.group, p)
             assert pushed.equals_subgroup(target), (source, p)
+
+
+def min_scan_quotient(group, normal):
+    """The coset action that the chain-read coset key replaced: each coset
+    N x is keyed by the least image tuple over its |N| elements. Kept as
+    the reference for quotient_regular_action; returns the images of G's
+    generators, the quotient map and the key."""
+    n_elements = normal.elements()
+    identity = Perm.identity(group.degree)
+
+    def canon(x):
+        return min((h * x).images for h in n_elements)
+
+    reps = [identity]
+    labels = {canon(identity): 0}
+    qi = 0
+    while qi < len(reps):
+        rep = reps[qi]
+        qi += 1
+        for g in group.generators:
+            t = rep * g
+            key = canon(t)
+            if key not in labels:
+                labels[key] = len(reps)
+                reps.append(t)
+
+    def image_of(x):
+        return Perm(tuple(labels[canon(rep * x)] for rep in reps))
+
+    return tuple(image_of(g) for g in group.generators), image_of, canon
+
+
+def test_coset_key_matches_min_scan_reference():
+    # the same quotient, byte for byte, the same cosets on a sample of G,
+    # and the same quotient map, on the surjections above and every C^p
+    # quotient of the corpus
+    s4 = symmetric_group(4)
+    z12 = cyclic_group(12)
+    cases = [(s4, klein_four_group()), (s4, alternating_group(4)),
+             (z12, cp_subgroup(z12, 4))]
+    for group in small_groups():
+        normals = {}
+        for p in range(1, 13):
+            sub = cp_subgroup(group, p)
+            normals.setdefault(sub.generators, sub)
+        cases += [(group, sub) for sub in normals.values()]
+    for group, normal in cases:
+        qa = quotient_regular_action(group, normal)
+        images, image_of, canon = min_scan_quotient(group, normal)
+        assert qa.images == images, (group, normal)
+        sample = group.elements()[::3]
+        key_pairs = {(qa._canon(x), canon(x)) for x in sample}
+        assert len(key_pairs) == len({k for k, _ in key_pairs}) \
+            == len({k for _, k in key_pairs}), (group, normal)
+        for x in sample[::3]:
+            assert qa.image_of(x) == image_of(x), (group, normal, x)
 
 
 def test_cp_characteristic_under_all_automorphisms():

@@ -328,6 +328,14 @@ def test_chain_fuzz_random_generator_pairs():
             assert Perm(images) not in group
 
 
+def chain_state(chain):
+    """Order, base and generator counts, orbit sizes and Schreier-check
+    counters: everything an extend of a copy must leave alone."""
+    return (chain.order(), len(chain.base), len(chain.strong),
+            [len(tr) for tr in chain.transversals], [len(g) for g in chain._gens],
+            [list(counts) for counts in chain._checked])
+
+
 def test_chain_extend_matches_fresh_chain():
     # one generator at a time, in two batches, and on a copy: each must
     # give the chain built from all the generators at once
@@ -354,10 +362,10 @@ def test_chain_extend_matches_fresh_chain():
         batches = _StabilizerChain(degree, gens[:half])
         batches.extend(gens[half:])
         first = _StabilizerChain(degree, gens[:half])
-        state = (first.order(), len(first.base), len(first.strong))
+        state = chain_state(first)
         copied = first.copy()
         copied.extend(gens[half:])
-        assert (first.order(), len(first.base), len(first.strong)) == state
+        assert chain_state(first) == state
         for chain in (one, batches, copied):
             assert chain.order() == fresh.order(), gens
             for x in points:
@@ -388,3 +396,178 @@ def test_reduce_generators_matches_rebuild_reference():
         sub = _reduce_generators(ambient, aset.maps)
         assert sub.generators == rebuild_reduce(ambient, aset.maps)
         assert sub.order() == len(aset.maps)
+
+
+class RebuildChain:
+    """The deterministic Schreier-Sims chain that the incremental
+    _StabilizerChain replaced, kept as its reference. It inverts on every
+    strip, rebuilds orbits 0..level on every placement and restarts its
+    Schreier scan after each one.
+
+    base[i] is fixed by every strong generator assigned to deeper levels;
+    transversals[i] maps each orbit point d to a permutation u with
+    u(base[i]) = d.
+    """
+
+    def __init__(self, degree, generators=()):
+        self.degree = degree
+        self.base = []
+        self.strong = []
+        self.transversals = []
+        self.extend(generators)
+
+    def extend(self, generators):
+        """Add generators to the group; True iff the group grew.
+
+        Levels deeper than the deepest one that received a residue are
+        untouched, so re-verification starts at that level, not at the last.
+        """
+        deepest = -1
+        for g in generators:
+            residue, level = self._strip(g)
+            if not residue.is_identity():
+                deepest = max(deepest, self._place(residue, level))
+        i = deepest
+        while i >= 0:
+            placed = self._check_level(i)
+            if placed is None:
+                i -= 1
+            else:
+                i = placed
+        return deepest >= 0
+
+    def copy(self):
+        """An independent chain for the same group (Perms are immutable)."""
+        other = RebuildChain(self.degree)
+        other.base = list(self.base)
+        other.strong = list(self.strong)
+        other.transversals = [dict(tr) for tr in self.transversals]
+        return other
+
+    def _gens_at(self, i):
+        prefix = self.base[:i]
+        out = []
+        for s in self.strong:
+            img = s.images
+            if all(img[b] == b for b in prefix):
+                out.append(s)
+        return out
+
+    def _rebuild_orbit(self, i):
+        b = self.base[i]
+        gens = self._gens_at(i)
+        tr = {b: Perm.identity(self.degree)}
+        queue = [b]
+        qi = 0
+        while qi < len(queue):
+            d = queue[qi]
+            qi += 1
+            ud = tr[d]
+            for g in gens:
+                e = g.images[d]
+                if e not in tr:
+                    tr[e] = ud * g
+                    queue.append(e)
+        self.transversals[i] = tr
+
+    def _strip(self, g, start=0):
+        i = start
+        while i < len(self.base):
+            d = g.images[self.base[i]]
+            tr = self.transversals[i]
+            if d not in tr:
+                return g, i
+            g = g * tr[d].inverse()
+            i += 1
+        return g, len(self.base)
+
+    def _place(self, g, level):
+        # g fixes base[:level]; push it as deep as it goes
+        while level < len(self.base) and g.images[self.base[level]] == self.base[level]:
+            level += 1
+        if level == len(self.base):
+            moved = next(p for p in range(self.degree) if g.images[p] != p)
+            self.base.append(moved)
+            self.transversals.append({})
+        self.strong.append(g)
+        for k in range(level + 1):
+            self._rebuild_orbit(k)
+        return level
+
+    def _check_level(self, i):
+        tr = self.transversals[i]
+        gens = self._gens_at(i)
+        for d in sorted(tr):
+            ud = tr[d]
+            for s in gens:
+                schreier = ud * s * tr[s.images[d]].inverse()
+                if schreier.is_identity():
+                    continue
+                residue, level = self._strip(schreier, i + 1)
+                if residue.is_identity():
+                    continue
+                return self._place(residue, level)
+        return None
+
+    def order(self):
+        n = 1
+        for tr in self.transversals:
+            n *= len(tr)
+        return n
+
+    def contains(self, g):
+        residue, _ = self._strip(g)
+        return residue.is_identity()
+
+
+def wreath_product(a, b):
+    """S_a wr S_b on a*b points: S_a on the first block, S_b on the blocks."""
+    n = a * b
+    swap = list(range(n))
+    for i in range(a):
+        swap[i], swap[a + i] = a + i, i
+    return PermGroup(n, [Perm.from_cycles(n, [[0, 1]]), Perm.from_cycles(n, [list(range(a))]),
+                         Perm(swap), Perm(tuple((x + a) % n for x in range(n)))])
+
+
+def test_chain_matches_rebuild_reference():
+    # equal orders, membership and extend results; the base may differ,
+    # because the incremental orbits find their points in another order
+    rng = random.Random(47)
+    cases = [(g.degree, list(g.generators), True) for g in small_groups()]
+    cases += [(degree, gens, True) for degree, gens, _ in fuzz_generator_pairs()]
+    cases += [(g.degree, list(g.generators), False) for g in (
+        symmetric_group(9), alternating_group(10), wreath_product(4, 5),
+        wreath_product(3, 4))]
+    assert [wreath_product(a, b).order() for a, b in ((4, 5), (3, 4))] == [
+        24 ** 5 * 120, 6 ** 4 * 24]
+    for degree, gens, small in cases:
+        # one at a time: the generators, then redundant products of them
+        sequence = gens + [a * b for a in gens for b in gens][:4]
+        new, old = _StabilizerChain(degree), RebuildChain(degree)
+        for g in sequence:
+            assert new.extend([g]) == old.extend([g]), gens
+            assert new.order() == old.order(), gens
+        assert _StabilizerChain(degree, gens).order() == new.order()
+        points = [Perm(rng.sample(range(degree), degree)) for _ in range(20)]
+        if small:
+            closure = mulclose(gens) if gens else {tuple(range(degree))}
+            assert new.order() == len(closure), gens
+            points += [Perm(x) for x in sorted(closure)]
+        else:
+            closure = None
+            for _ in range(20):
+                word = Perm.identity(degree)
+                for _ in range(30):
+                    word = word * rng.choice(gens)
+                points.append(word)
+                assert new.contains(word), gens
+        for x in points:
+            assert new.contains(x) == old.contains(x), (gens, x)
+            if closure is not None:
+                assert new.contains(x) == (x.images in closure), (gens, x)
+        if degree <= 6:
+            # one element of the ambient symmetric group, usually outside
+            x = Perm(rng.sample(range(degree), degree))
+            assert new.extend([x]) == old.extend([x]), (gens, x)
+            assert new.order() == old.order() == len(mulclose(gens + [x])), (gens, x)
