@@ -271,6 +271,18 @@ class CpVerdict:
             raise ValueError(f"invalid verdict {self.status}/{self.reason}")
 
 
+def _complete_aut_search(group, aut_budget):
+    """The automorphism search's result, or BudgetExhausted saying how far
+    a truncated search got: no verdict may rest on a partial set."""
+    aset = aut_group_search(group, aut_budget)
+    if not aset.complete:
+        raise BudgetExhausted(
+            f"automorphism search budget {aut_budget} exhausted after "
+            f"{aset.nodes_used} nodes with {len(aset.maps)} maps found; "
+            "no sound verdict")
+    return aset
+
+
 def cp_group_verdict(group, p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     """Decide whether the group is a C^p-group, where these criteria can.
 
@@ -287,9 +299,7 @@ def cp_group_verdict(group, p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     if sub.order() == group.order():
         return CpVerdict(IS_CP_GROUP, SELF_WITNESS, cert)
 
-    aset = aut_group_search(group, aut_budget)
-    if not aset.complete:
-        raise BudgetExhausted("automorphism search truncated; no sound verdict")
+    aset = _complete_aut_search(group, aut_budget)
     cert["center_order"] = center(group).order()
     cert["aut_order"] = len(aset.maps)
     cert["inner_order"] = aset.inner_order()
@@ -379,9 +389,7 @@ def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     if p > 12:
         raise ValueError("p capped at 12 (desk scale)")
     s6 = symmetric_group(6)
-    aset = aut_group_search(s6, aut_budget)
-    if not aset.complete:
-        raise BudgetExhausted("automorphism search truncated")
+    aset = _complete_aut_search(s6, aut_budget)
     aut_perm = aset.as_perm_group()
     aut_order = len(aset.maps)
     inner_order = aset.inner_order()

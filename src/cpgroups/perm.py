@@ -23,12 +23,17 @@ is read-only, so sharing a group between threads is safe. Quotients G/N
 tell the cosets of N apart by a key read off N's chain.
 
 Elements come from one breadth-first walk of the Cayley graph. The
-automorphism search reads its multiplication table off that walk,
-backtracks over generator images, pruning by the (element order,
-centralizer order) fingerprint, and certifies its output:
-every reported map is verified against the full multiplication action of
-the group, the set is closed as a permutation group on the element set, and
-it contains all inner automorphisms.
+automorphism search backtracks over generator images, pruning by the
+(element order, centralizer order) fingerprint, with centralizer orders
+read off conjugacy class sizes. It never builds the |G| x |G| table: right
+multiplication by an element is a column built along the walk's tree, only
+for the candidate images and their ancestors. It certifies its output:
+every reported map is either verified against every edge of the Cayley
+graph or a product of verified maps; products are enumerated into a cache
+keyed by the images of the generators (an automorphism is determined by
+them), and a complete search must have found exactly the cached keys, which
+certifies that the set is closed under composition. It also contains all
+inner automorphisms.
 """
 
 from __future__ import annotations
@@ -168,6 +173,17 @@ def _invert(images):
     for i, x in enumerate(images):
         inv[x] = i
     return tuple(inv)
+
+
+def _conjugator(g):
+    """The map x -> g x g^-1, one pass over the images of x per call."""
+    gi = g.images
+    ginv = _invert(gi)
+
+    def conjugate(x):
+        e = x.images
+        return Perm._raw(tuple([ginv[e[p]] for p in gi]))
+    return conjugate
 
 
 def commutator(a, b):
@@ -652,13 +668,15 @@ def direct_product(g, h):
 class AutomorphismSet:
     """Result of an automorphism group search.
 
-    `maps` are the verified automorphisms, each a permutation of element
-    indices: the automorphism sends elements[i] to elements[m(i)]. When
-    `complete` is true the set is the whole automorphism group and has been
-    certified: closed under composition as a permutation group on the
-    element list, and containing all inner automorphisms. When the node
+    `maps` are the automorphisms found, each a permutation of element
+    indices: the automorphism sends elements[i] to elements[m(i)]. Each map
+    is either verified against the multiplication action of the group or a
+    product of verified maps. When `complete` is true the set is the whole
+    automorphism group and has been certified: the search found exactly
+    the group that the verified maps generate, so the set is closed under
+    composition, and it contains all inner automorphisms. When the node
     budget ran out, `complete` is false and `maps` holds only the
-    automorphisms found so far, each still verified.
+    automorphisms found so far.
     """
 
     def __init__(self, base_group, maps, complete, elements, index, nodes_used):
@@ -668,6 +686,9 @@ class AutomorphismSet:
         self.elements = tuple(elements)
         self.nodes_used = nodes_used
         self._index = index
+        # maps that generate `maps`; the search narrows this to the ones it
+        # verified
+        self._generators = self.maps
         self._perm_group = None
 
     def inner_order(self):
@@ -679,18 +700,19 @@ class AutomorphismSet:
 
     def conjugation_map(self, g):
         """The inner automorphism x -> g x g^-1 as an element permutation."""
-        ginv = g.inverse()
-        return Perm._raw(tuple(self._index[g * x * ginv] for x in self.elements))
+        conjugate = _conjugator(g)
+        return Perm._raw(tuple(self._index[conjugate(x)] for x in self.elements))
 
     def as_perm_group(self):
         """The automorphism group acting on the element set of the base group.
 
-        Generated by a small (greedily chosen) subset of the maps; its order
-        certifies closure of `maps` under composition.
+        Built on first use from the generating maps (the verified ones, for
+        a search result); its order re-checks that `maps` is closed under
+        composition.
         """
         if self._perm_group is None:
             ambient = PermGroup(len(self.elements), (), degree_cap=None)
-            grp = _reduce_generators(ambient, self.maps)
+            grp = _reduce_generators(ambient, self._generators)
             if self.complete and grp.order() != len(self.maps):
                 raise RuntimeError("automorphism set is not closed under composition")
             self._perm_group = grp
@@ -702,10 +724,14 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
     """Search for the full automorphism group by backtracking over images.
 
     Candidate images are pruned by the (element order, centralizer order)
-    fingerprint and by fingerprints of generator products; every surviving
-    assignment is extended to the whole group and verified against the
-    multiplication action, so nothing unverified is ever reported. If the
-    node budget runs out, the partial set is returned flagged incomplete.
+    fingerprint and by fingerprints of generator products. A surviving
+    assignment is looked up by its generator images in the cache of
+    products of the maps verified so far; if absent, it is extended to the
+    whole group and verified against every edge of the Cayley graph, and a
+    new automorphism extends the cache. Nothing unverified is ever
+    reported, and a complete search must have found exactly the cached
+    keys. If the node budget runs out, the partial set is returned flagged
+    incomplete.
     """
     if group._aut is not None:
         return group._aut
@@ -721,47 +747,101 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
     elems, index, right, parent, pgen = _cayley(group.degree, kept)
     if len(elems) != n:
         raise RuntimeError("element enumeration disagrees with the group order")
-
-    # x * y = (x * parent(y)) * gen(y): each row follows the walk's tree
-    steps = [(right[k], j) for j, k in zip(parent[1:], pgen[1:])]
-    table = []
-    for x in range(n):
-        row = [x]
-        for col, j in steps:
-            row.append(col[row[j]])
-        table.append(row)
-
-    orders = [x.order() for x in elems]
-    # cent[i]: how many elements commute with element i
-    cent = [sum(1 for j, tij in enumerate(ti) if tij == table[j][i])
-            for i, ti in enumerate(table)]
-    fingerprint = list(zip(orders, cent))
-
     gidx = [index[g] for g in kept]
     m = len(gidx)
+
+    # cols[j][x] = position of x * elements[j]; x * j = (x * parent(j)) *
+    # gen(j), so a column follows from its parent's along the walk's tree
+    cols = {0: range(n)}
+
+    def col(j):
+        path = []
+        while j not in cols:
+            path.append(j)
+            j = parent[j]
+        c = cols[j]
+        for j in reversed(path):
+            r = right[pgen[j]]
+            c = cols[j] = [r[x] for x in c]
+        return c
+
+    # |C(x)| = |G| / |x^G|; the classes are the orbits of conjugation by the
+    # kept generators
+    conjugators = [_conjugator(g) for g in kept]
+    cent = [0] * n
+    for i in range(n):
+        if cent[i]:
+            continue
+        orbit = [i]
+        cent[i] = -1
+        for x in orbit:  # the list grows while it is walked
+            for conjugate in conjugators:
+                y = index[conjugate(elems[x])]
+                if not cent[y]:
+                    cent[y] = -1
+                    orbit.append(y)
+        for x in orbit:
+            cent[x] = n // len(orbit)
+    fingerprint = list(zip([x.order() for x in elems], cent))
+
     candidates = [[i for i in range(n) if fingerprint[i] == fingerprint[gi]]
                   for gi in gidx]
+    # targets[k][l]: fingerprint of g_l g_k. It is also that of g_k g_l, a
+    # conjugate, so one order of each product is checked.
+    targets = [[fingerprint[right[k][gidx[l]]] for l in range(k)] for k in range(m)]
+
+    # the walk's edges x -> x * g_k in walk order, flagging the tree edge
+    # that first reaches each element
+    edges = [(x, k, y, pgen[y] == k and parent[y] == x)
+             for x in range(n) for k, y in enumerate(r[x] for r in right)]
+
+    def verify(img):
+        # phi(x g_k) = phi(x) img_k: tree edges define phi, and every other
+        # edge is checked as soon as the walk reaches it
+        img_cols = [col(c) for c in img]
+        phi = [0] * n
+        for x, k, y, tree in edges:
+            v = img_cols[k][phi[x]]
+            if tree:
+                phi[y] = v
+            elif phi[y] != v:
+                return None
+        if len(set(phi)) != n:
+            return None
+        return tuple(phi)
+
+    # an automorphism is determined by its images of the kept generators;
+    # closure maps each key to its map, for the group generated by the
+    # verified maps. The walk reaches each generator from the identity by a
+    # tree edge, so a map that verify returns for a leaf has the leaf as key.
+    def key(images):
+        return tuple(images[g] for g in gidx)
+
+    closure = {tuple(gidx): tuple(range(n))}
+    verified = []
+
+    def adjoin(g):
+        # Dimino: the new group is a union of right cosets H r of the old
+        # one, found by a walk over right multiplication by the generators
+        verified.append(g)
+        old = list(closure.values())
+        reps = []
+
+        def add_coset(r):
+            reps.append(r)
+            for h in old:
+                hr = tuple([r[x] for x in h])  # h, then r
+                closure[key(hr)] = hr
+
+        add_coset(g)
+        for r in reps:  # the list grows while it is walked
+            for s in verified:
+                if tuple(s[r[gi]] for gi in gidx) not in closure:  # key(r, then s)
+                    add_coset(tuple([s[x] for x in r]))
 
     found = []
     nodes = 0
     truncated = False
-
-    def verify(img):
-        phi = [0] * n
-        for x in range(1, n):
-            phi[x] = table[phi[parent[x]]][img[pgen[x]]]
-        seen = bytearray(n)
-        for v in phi:
-            if seen[v]:
-                return None
-            seen[v] = 1
-        for x in range(n):
-            px = phi[x]
-            tx = table[x]
-            for k in range(m):
-                if phi[tx[gidx[k]]] != table[px][img[k]]:
-                    return None
-        return phi
 
     def search(img):
         nonlocal nodes, truncated
@@ -774,18 +854,21 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
                 truncated = True
                 return
             ok = True
-            for l in range(k):
-                if (fingerprint[table[img[l]][c]] != fingerprint[table[gidx[l]][gidx[k]]]
-                        or fingerprint[table[c][img[l]]]
-                        != fingerprint[table[gidx[k]][gidx[l]]]):
+            for l, target in enumerate(targets[k]):
+                if fingerprint[col(c)[img[l]]] != target:
                     ok = False
                     break
             if not ok:
                 continue
             if k + 1 == m:
-                phi = verify(img + [c])
+                leaf = img + [c]
+                phi = closure.get(tuple(leaf))
+                if phi is None:
+                    phi = verify(leaf)
+                    if phi is not None:
+                        adjoin(phi)
                 if phi is not None:
-                    found.append(Perm._raw(tuple(phi)))
+                    found.append(Perm._raw(phi))
             else:
                 search(img + [c])
 
@@ -795,12 +878,16 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
         search([])
 
     result = AutomorphismSet(group, found, not truncated, elems, index, nodes)
+    result._generators = [Perm._raw(g) for g in verified]
     if result.complete:
-        maps = set(found)
+        # found lies inside the closure and has distinct keys, so equal
+        # counts mean found is the whole closure, a group
+        if len(found) != len(closure):
+            raise RuntimeError("automorphism set is not closed under composition")
         for g in group.generators:
-            if result.conjugation_map(g) not in maps:
+            inner = result.conjugation_map(g).images
+            if closure.get(key(inner)) != inner:
                 raise RuntimeError("search missed an inner automorphism")
-        result.as_perm_group()  # certifies closure
         group._aut = result
     return result
 

@@ -26,3 +26,12 @@ def small_groups():
                direct_product(cyclic_group(4), cyclic_group(8)),
                direct_product(symmetric_group(3), cyclic_group(4))]
             + random_groups)
+
+
+def coprime_product(group, n):
+    """G x Z_n for a two-generator G of order prime to n, generated by
+    (x, c) and (y, c) for G = <x, y> and Z_n = <c>, as the benchmark's
+    certify workload builds it."""
+    whole = direct_product(group, cyclic_group(n))
+    c = whole.generators[-1]
+    return PermGroup(whole.degree, [x * c for x in whole.generators[:-1]])

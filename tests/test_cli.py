@@ -10,7 +10,8 @@ import pytest
 
 from cpgroups import cli, cp
 from cpgroups.fp import DEFAULT_MAX_COSETS
-from cpgroups.perm import DEFAULT_AUT_NODE_BUDGET, klein_four_group
+from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, klein_four_group,
+                           symmetric_group)
 
 SRC = Path(cli.__file__).resolve().parents[1]
 
@@ -162,6 +163,22 @@ def test_aut_budget_exit_code(capsys):
     assert "complete=false" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verdict", "--group", "S5", "--p", "2", "--budget", "50"],
+     "automorphism search budget 50 exhausted after 51 nodes with 24 maps "
+     "found; no sound verdict"),
+    (["s6", "--p", "2", "--budget", "500"],
+     "automorphism search budget 500 exhausted after 501 nodes with 96 maps "
+     "found; no sound verdict"),
+], ids=["verdict", "s6"])
+def test_aut_budget_message_reports_progress(capsys, argv, message):
+    symmetric_group.cache_clear()  # no cached complete search
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exhausted: {message}\n"
+
+
 def test_negative_positionals_after_double_dash(capsys):
     code, out = run_cli(capsys, ["chbili-q", "--", "-3", "2", "5"])
     assert code == 0
@@ -303,16 +320,18 @@ print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans})}
 
 def test_benchmark_tracer_finds_its_spans():
     # the benchmark's traced pass wraps these by name, so a rename would
-    # otherwise only show up there
+    # otherwise only show up there; only the AUT_CRITERION verdict on D4
+    # builds the automorphism group as a permutation group
     argvs = [["aut", "--group", "S4"], ["verdict", "--group", "S4", "--p", "2"],
-             ["series", "--group", "S4", "--p", "2", "--depth", "1"]]
+             ["series", "--group", "S4", "--p", "2", "--depth", "1"],
+             ["verdict", "--group", "D4", "--p", "2"]]
     proc = subprocess.run(
         [sys.executable, "-c", TRACER_SCRIPT, str(SRC.parent / "perfbench"),
          json.dumps(argvs)],
         env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 1, 0]
+    assert result["codes"] == [0, 1, 0, 1]
     for name in ["perm.aut_group_search", "perm.as_perm_group", "perm.chain",
                  "perm.elements"]:
         assert name in result["spans"], name

@@ -4,16 +4,18 @@ from math import gcd
 import pytest
 
 from cpgroups.errors import CapExceeded
-from cpgroups.perm import (Perm, PermGroup, _cayley, _reduce_generators,
-                           _StabilizerChain, alternating_group,
-                           aut_group_search, center, centralizer, commutator,
+from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
+                           AutomorphismSet, Perm, PermGroup, _cayley,
+                           _reduce_generators, _StabilizerChain,
+                           alternating_group, aut_group_search, center,
+                           centralizer, commutator,
                            cyclic_group, derived_subgroup, dihedral_group,
                            direct_product, format_cycles, klein_four_group,
                            normal_closure, parse_cycles,
                            quotient_regular_action, symmetric_group,
                            trivial_group)
 
-from corpus import small_groups
+from corpus import coprime_product, small_groups
 from oracles import mulclose
 
 
@@ -261,7 +263,7 @@ AUT_NODES = {
     "Z16": 8, "Z17": 16, "Z18": 6, "Z19": 18, "Z20": 8, "Z21": 12, "Z22": 10,
     "Z23": 22, "Z24": 8, "D3": 8, "D4": 10, "D5": 24, "D6": 14, "D7": 48,
     "D8": 36, "D9": 60, "D10": 44, "D11": 120, "D12": 52, "A4": 72, "A5": 500,
-    "S5": 250, "S6": 7230,
+    "S5": 250, "S6": 7230, "A6": 11600, "S4xZ7": 1332, "S3xZ25": 2460,
 }
 
 
@@ -272,7 +274,10 @@ def test_aut_orders_match_closed_forms():
     cases = ([(f"Z{n}", cyclic_group(n), phi(n)) for n in range(1, 25)]
              + [(f"D{n}", dihedral_group(n), n * phi(n)) for n in range(3, 13)]
              + [("A4", alternating_group(4), 24), ("A5", alternating_group(5), 120),
-                ("S5", symmetric_group(5), 120), ("S6", symmetric_group(6), 1440)])
+                ("S5", symmetric_group(5), 120), ("S6", symmetric_group(6), 1440),
+                ("A6", alternating_group(6), 1440),
+                ("S4xZ7", coprime_product(symmetric_group(4), 7), 144),
+                ("S3xZ25", coprime_product(symmetric_group(3), 25), 120)])
     for name, group, order in cases:
         aset = aut_group_search(group)
         assert aset.complete and len(aset.maps) == order, name
@@ -284,6 +289,143 @@ def test_aut_budget_truncation_flags_incomplete():
     g2 = PermGroup(4, g.generators)  # fresh instance, no cached search
     aset = aut_group_search(g2, budget=3)
     assert not aset.complete
+
+
+def table_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
+                     order_cap=DEFAULT_AUT_ORDER_CAP):
+    """The automorphism search that the table-free aut_group_search
+    replaced, kept as its reference. It builds the whole |G| x |G|
+    multiplication table, counts commuting pairs for centralizer orders,
+    and verifies every leaf against every edge in two passes. Unlike the
+    library search it neither reads nor fills the group's cached result.
+    """
+    n = group.order()
+    if n > order_cap:
+        raise CapExceeded(f"group order {n} exceeds automorphism search cap {order_cap}")
+
+    kept = _reduce_generators(group, group.generators).generators
+    if len(kept) > 3:
+        raise CapExceeded(
+            f"{len(kept)} independent generators; the search requires at most 3")
+
+    elems, index, right, parent, pgen = _cayley(group.degree, kept)
+    if len(elems) != n:
+        raise RuntimeError("element enumeration disagrees with the group order")
+
+    # x * y = (x * parent(y)) * gen(y): each row follows the walk's tree
+    steps = [(right[k], j) for j, k in zip(parent[1:], pgen[1:])]
+    table = []
+    for x in range(n):
+        row = [x]
+        for col, j in steps:
+            row.append(col[row[j]])
+        table.append(row)
+
+    orders = [x.order() for x in elems]
+    # cent[i]: how many elements commute with element i
+    cent = [sum(1 for j, tij in enumerate(ti) if tij == table[j][i])
+            for i, ti in enumerate(table)]
+    fingerprint = list(zip(orders, cent))
+
+    gidx = [index[g] for g in kept]
+    m = len(gidx)
+    candidates = [[i for i in range(n) if fingerprint[i] == fingerprint[gi]]
+                  for gi in gidx]
+
+    found = []
+    nodes = 0
+    truncated = False
+
+    def verify(img):
+        phi = [0] * n
+        for x in range(1, n):
+            phi[x] = table[phi[parent[x]]][img[pgen[x]]]
+        seen = bytearray(n)
+        for v in phi:
+            if seen[v]:
+                return None
+            seen[v] = 1
+        for x in range(n):
+            px = phi[x]
+            tx = table[x]
+            for k in range(m):
+                if phi[tx[gidx[k]]] != table[px][img[k]]:
+                    return None
+        return phi
+
+    def search(img):
+        nonlocal nodes, truncated
+        k = len(img)
+        for c in candidates[k]:
+            if truncated:
+                return
+            nodes += 1
+            if nodes > budget:
+                truncated = True
+                return
+            ok = True
+            for l in range(k):
+                if (fingerprint[table[img[l]][c]] != fingerprint[table[gidx[l]][gidx[k]]]
+                        or fingerprint[table[c][img[l]]]
+                        != fingerprint[table[gidx[k]][gidx[l]]]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if k + 1 == m:
+                phi = verify(img + [c])
+                if phi is not None:
+                    found.append(Perm._raw(tuple(phi)))
+            else:
+                search(img + [c])
+
+    if m == 0:
+        found.append(Perm.identity(n))
+    else:
+        search([])
+
+    result = AutomorphismSet(group, found, not truncated, elems, index, nodes)
+    if result.complete:
+        maps = set(found)
+        for g in group.generators:
+            if result.conjugation_map(g) not in maps:
+                raise RuntimeError("search missed an inner automorphism")
+        result.as_perm_group()  # certifies closure
+    return result
+
+
+def aut_reference_corpus():
+    """(name, group, budget) triples on which the search must match
+    table_aut_search, each group a fresh instance with no cached search."""
+    named = ([(f"Z{n}", cyclic_group(n)) for n in range(1, 25)]
+             + [(f"D{n}", dihedral_group(n)) for n in range(3, 13)]
+             + [(f"A{n}", alternating_group(n)) for n in range(4, 7)]
+             + [(f"S{n}", symmetric_group(n)) for n in range(3, 7)]
+             + [("S4xZ7", coprime_product(symmetric_group(4), 7)),
+                ("S3xZ25", coprime_product(symmetric_group(3), 25))]
+             # three kept generators, so the product prune shows in nodes
+             + [("S4xZ2", direct_product(symmetric_group(4), cyclic_group(2))),
+                ("A4xZ2", direct_product(alternating_group(4), cyclic_group(2)))]
+             + [(f"small{i}", g) for i, g in enumerate(small_groups())])
+    cases = [(name, g, DEFAULT_AUT_NODE_BUDGET) for name, g in named]
+    cases += [("S6", symmetric_group(6), budget) for budget in (50, 500, 3000)]
+    return [(name, PermGroup(g.degree, g.generators), budget)
+            for name, g, budget in cases]
+
+
+def test_aut_search_matches_table_reference():
+    for name, group, budget in aut_reference_corpus():
+        fast = aut_group_search(group, budget)
+        slow = table_aut_search(group, budget)
+        assert fast.maps == slow.maps, (name, budget)
+        assert fast.nodes_used == slow.nodes_used, (name, budget)
+        assert fast.complete == slow.complete, (name, budget)
+        if fast.complete:
+            # the cache holds every product of the maps verified so far, so
+            # no verified map is a product of earlier ones
+            perm_group = fast.as_perm_group()
+            assert len(perm_group.generators) == len(fast._generators), name
+            assert perm_group.order() == len(fast.maps), name
 
 
 def test_commutator():
