@@ -9,7 +9,7 @@ from .errors import (BudgetExhausted, CapExceeded, ConjugationNotInnerError,
 from .homalg import (AbelianStructure, E2Table, IntMatrix, TRIVIAL, Z,
                      cokernel_structure, cyclic, cyclic_homology,
                      five_term_from_multiplication, lhs_e2_table,
-                     smith_normal_form, tensor_with_zp)
+                     smith_diagonal, smith_normal_form, tensor_with_zp)
 from .perm import (AutomorphismSet, Perm, PermGroup, QuotientAction,
                    alternating_group, aut_group_search, center, centralizer,
                    commutator, cyclic_group, derived_subgroup, dihedral_group,

@@ -11,6 +11,7 @@ closed before the payload was written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -307,7 +308,10 @@ def positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing never changes
+    it, so every `run` can share it."""
     parser = argparse.ArgumentParser(
         prog="cpgroups",
         description="Commutator-and-pth-power subgroup workbench")

@@ -1,13 +1,23 @@
 """Exact integer linear algebra and finitely generated abelian groups.
 
 Everything here is computed over Python's arbitrary-precision integers;
-nothing ever wraps. The two workhorses are the Smith normal form (with a
-fixed deterministic pivot rule, so the transforming matrices U and V are
-reproducible) and the canonical invariant-factor form of a finitely
-generated abelian group. On top of those sit the closed-form homology
-tables used by the knot layer: cyclic group homology, the two-column
-second-page table of the extension spectral sequence, and the five-term
-sequence resolved for a multiplication-by-d map.
+nothing ever wraps. The two workhorses are the Smith normal form and the
+canonical invariant-factor form of a finitely generated abelian group.
+
+The Smith form runs in two phases: row Hermite form first (a Euclid pass
+per column, then every entry above the pivot reduced modulo it), then a
+diagonalization with a fixed pivot rule. Reducing above the pivots keeps
+the transforming matrices U and V about as small as D (Kannan & Bachem,
+1979); without it they grow to tens of thousands of bits on a dense 60 x 60
+matrix. A matrix with more rows than columns is worked on as its
+transpose. Every step is deterministic, so U and V are reproducible.
+`smith_diagonal` runs the same elimination without forming U or V; the
+cokernel (and so every abelianization) is read from it.
+
+On top of those sit the closed-form homology tables used by the knot
+layer: cyclic group homology, the two-column second-page table of the
+extension spectral sequence, and the five-term sequence resolved for a
+multiplication-by-d map.
 
 Conventions fixed once, used everywhere:
 
@@ -30,7 +40,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -108,39 +118,83 @@ def _find_pivot(a, t, rows, cols):
     return best
 
 
-def smith_normal_form(matrix):
-    """Diagonalize an integer matrix: returns (U, D, V) with U @ matrix @ V == D.
+def _hermite(a, rows, cols):
+    """Bring the first `cols` columns of the rows of `a` to row Hermite form,
+    in place, by row operations on whole rows; returns the rank.
 
-    U and V are unimodular, D is diagonal with nonnegative entries forming a
-    divisibility chain d_1 | d_2 | ... Pivoting is deterministic (smallest
-    nonzero absolute value, ties broken row-major), so the full decomposition
-    is reproducible, not just D.
+    Each column gets a Euclid pass over the rows below the current pivot
+    (reduce by the smallest nonzero entry, rounding to the nearest multiple,
+    until one nonzero entry is left), and every entry above the new pivot is
+    then reduced modulo it. That last step keeps the entries of the form,
+    and of any transform carried in the trailing columns, small.
     """
-    if not isinstance(matrix, IntMatrix):
-        matrix = IntMatrix(matrix)
-    r, c = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    t = 0
+    for j in range(cols):
+        if t == rows:
+            break
+        while True:
+            p, best = None, 0
+            for i in range(t, rows):
+                x = a[i][j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if p is None or ax < best:
+                        p, best = i, ax
+                        if ax == 1:
+                            break
+            if p is None:
+                break
+            if a[p][j] < 0:
+                a[p] = [-x for x in a[p]]
+            prow = a[p]
+            d2 = 2 * prow[j]
+            done = True
+            for i in range(t, rows):
+                x = a[i][j]
+                if x and i != p:
+                    q = (2 * x + prow[j]) // d2
+                    if q:
+                        a[i] = [y - q * z for y, z in zip(a[i], prow)]
+                    if a[i][j]:
+                        done = False
+            if done:
+                break
+        if p is None:
+            continue
+        a[t], a[p] = a[p], a[t]
+        prow = a[t]
+        d = prow[j]
+        for k in range(t):
+            q = a[k][j] // d
+            if q:
+                a[k] = [y - q * z for y, z in zip(a[k], prow)]
+        t += 1
+    return t
+
+
+def _diagonalize(a, rows, cols, vt):
+    """Diagonalize the leading rows x cols block of `a` in place, with a
+    fixed pivot rule; the block's rows must hold every nonzero entry.
+
+    Row operations act on whole rows, so a transform carried in trailing
+    columns follows them. Column operations act on the block and, unless
+    `vt` is None, on the rows of `vt`, the transpose of the column transform.
+    """
 
     def move_pivot(t):
-        i0, j0 = _find_pivot(a, t, r, c)
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
+        i0, j0 = _find_pivot(a, t, rows, cols)
+        a[t], a[i0] = a[i0], a[t]
         if j0 != t:
-            for row in a:
+            # rows above t are finished and zero in both columns
+            for i in range(t, rows):
+                row = a[i]
                 row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
+            if vt is not None:
+                vt[t], vt[j0] = vt[j0], vt[t]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
 
-    t = 0
-    while t < min(r, c):
-        if _find_pivot(a, t, r, c) is None:
-            break
+    for t in range(rows):
         while True:
             move_pivot(t)
             # Clear column t and row t; a nonzero remainder means the pivot
@@ -148,47 +202,102 @@ def smith_normal_form(matrix):
             while True:
                 dirty = False
                 d = a[t][t]
-                for i in range(t + 1, r):
+                for i in range(t + 1, rows):
                     if a[i][t] == 0:
                         continue
                     q = a[i][t] // d
                     if q:
                         a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                     if a[i][t] != 0:
                         dirty = True
                 d = a[t][t]
-                for j in range(t + 1, c):
+                # column t of V as (index, entry) pairs, since it is mostly zero
+                vcol = vt and [(k, y) for k, y in enumerate(vt[t]) if y]
+                for j in range(t + 1, cols):
                     if a[t][j] == 0:
                         continue
                     q = a[t][j] // d
                     if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
+                        for i in range(t, rows):
+                            row = a[i]
+                            if row[t]:
+                                row[j] -= q * row[t]
+                        if vt is not None:
+                            row = vt[j]
+                            for k, y in vcol:
+                                row[k] -= q * y
                     if a[t][j] != 0:
                         dirty = True
                 if not dirty:
                     break
                 move_pivot(t)
-            # Divisibility: the pivot must divide the whole remaining block.
-            viol = None
+            # Divisibility: the pivot must divide the whole remaining block
+            # (a unit pivot always does).
             d = a[t][t]
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % d != 0:
+            viol = None
+            if d != 1:
+                for i in range(t + 1, rows):
+                    row = a[i]
+                    if any(row[j] % d for j in range(t + 1, cols)):
                         viol = i
                         break
-                if viol is not None:
-                    break
             if viol is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[viol])]
-            u[t] = [x + y for x, y in zip(u[t], u[viol])]
-        t += 1
 
-    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+
+def _smith(matrix, transforms):
+    """The Smith form core: Hermite form first, then diagonalization.
+
+    A matrix with more rows than columns is worked on as its transpose, so
+    the row transform carried through the Hermite phase is the smaller
+    square. Returns (U, diagonal, V) as lists of rows, or only the diagonal
+    when `transforms` is false; then no transform is formed at all.
+    """
+    if not isinstance(matrix, IntMatrix):
+        matrix = IntMatrix(matrix)
+    r, c = matrix.rows, matrix.cols
+    entries = matrix.entries
+    flip = r > c
+    if flip:
+        entries, r, c = tuple(zip(*entries)), c, r
+    if transforms:
+        # [A | U]: every row operation on A is recorded in U for free
+        a = [list(row) + [1 if i == k else 0 for k in range(r)]
+             for i, row in enumerate(entries)]
+        vt = [[1 if i == k else 0 for k in range(c)] for i in range(c)]
+    else:
+        a = [list(row) for row in entries]
+        vt = None
+    rank = _hermite(a, r, c)
+    _diagonalize(a, rank, c, vt)
+    diag = [a[i][i] for i in range(rank)] + [0] * (min(r, c) - rank)
+    if not transforms:
+        return diag
+    u = [row[c:] for row in a]
+    if flip:
+        return vt, diag, [list(col) for col in zip(*u)]
+    return u, diag, [list(col) for col in zip(*vt)]
+
+
+def smith_normal_form(matrix):
+    """Diagonalize an integer matrix: returns (U, D, V) with U @ matrix @ V == D.
+
+    U and V are unimodular, D is diagonal with nonnegative entries forming a
+    divisibility chain d_1 | d_2 | ... The matrix is first brought to Hermite
+    form, which keeps U and V about as small as D; every step is
+    deterministic, so the full decomposition is reproducible, not just D.
+    """
+    u, diag, v = _smith(matrix, True)
+    d = [[0] * len(v) for _ in u]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return IntMatrix(u), IntMatrix(d), IntMatrix(v)
+
+
+def smith_diagonal(matrix):
+    """The diagonal of the Smith normal form, without forming U or V."""
+    return tuple(_smith(matrix, False))
 
 
 @dataclass(frozen=True)
@@ -280,9 +389,7 @@ def cokernel_structure(matrix):
     """Structure of Z^cols / rowspace(matrix); rows are relators."""
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
-    _, d, _ = smith_normal_form(matrix)
-    diag = d.diagonal_entries()
-    nonzero = [x for x in diag if x != 0]
+    nonzero = [x for x in smith_diagonal(matrix) if x != 0]
     torsion = tuple(x for x in nonzero if x >= 2)
     return AbelianStructure(free_rank=matrix.cols - len(nonzero), torsion=torsion)
 

@@ -35,3 +35,22 @@ def coprime_product(group, n):
     whole = direct_product(group, cyclic_group(n))
     c = whole.generators[-1]
     return PermGroup(whole.degree, [x * c for x in whole.generators[:-1]])
+
+
+def scrambled_relations(rng, diagonal, rows):
+    """A rows x len(diagonal) relation matrix with cokernel known by
+    construction: diag(diagonal) padded with zero rows, then scrambled by
+    seeded unimodular row and column operations, as the benchmark builds
+    its `abelianize` inputs. Zero rows are dropped."""
+    cols = len(diagonal)
+    a = [[diagonal[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(2 * rows):
+        i, j = rng.sample(range(rows), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    for _ in range(cols):
+        i, j = rng.sample(range(cols), 2)
+        k = rng.choice((-1, 1))
+        for row in a:
+            row[i] += k * row[j]
+    return [row for row in a if any(row)]

@@ -108,3 +108,23 @@ def minors_gcd(rows, k):
             sub = [[rows[i][j] for j in ci] for i in ri]
             total = gcd(total, det_cofactor(sub))
     return total
+
+
+def det_bareiss(rows):
+    """Determinant by fraction-free Gaussian elimination (Bareiss), exact
+    and polynomial, for matrices too large for cofactor expansion."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1

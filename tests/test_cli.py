@@ -147,6 +147,25 @@ def test_budget_defaults_are_the_library_defaults(argv, flag, default):
     assert getattr(cli.build_parser().parse_args(argv), flag) == default
 
 
+def test_parser_is_shared_and_keeps_no_state(capsys):
+    # one parser serves every run in a process, so no flag may stick
+    # (a cycle spec builds a fresh group, with no cached search result)
+    assert cli.build_parser() is cli.build_parser()
+    s4 = "(1 2), (1 2 3 4)"
+    code, out = run_cli(capsys, ["aut", "--group", s4, "--budget", "5"])
+    assert code == 3 and "complete=false" in out
+    assert cli.build_parser().parse_args(["aut", "--group", s4]).budget \
+        == DEFAULT_AUT_NODE_BUDGET
+    code, out = run_cli(capsys, ["aut", "--group", s4])
+    assert code == 0 and "aut_order=24" in out
+    code, out = run_cli(capsys, ["order", "--group", "S4", "--format", "json"])
+    assert code == 0 and json.loads(out)["order"] == 24
+    code, out = run_cli(capsys, ["order", "--group", "S4"])
+    assert code == 0 and out == 'group="S4"\ndegree=4\norder=24\n'
+    code, out = run_cli(capsys, ["cp-subgroup", "--group", "S4", "--p", "2"])
+    assert code == 0 and "name=\"A4\"" in out
+
+
 def test_snf_command(capsys):
     code, out = run_cli(capsys, ["snf", "--matrix", "[[2,0],[0,3]]"])
     assert code == 0

@@ -1,13 +1,19 @@
+import json
 import random
+from math import gcd
 
 import pytest
 
-from cpgroups.homalg import (AbelianStructure, IntMatrix, TRIVIAL, Z,
+from cpgroups import cli
+from cpgroups.fp import reidemeister_schreier, todd_coxeter
+from cpgroups.homalg import (AbelianStructure, IntMatrix, TRIVIAL, Z, _find_pivot,
                              cokernel_structure, cyclic, cyclic_homology,
                              five_term_from_multiplication, lhs_e2_table,
-                             smith_normal_form, tensor_with_zp)
+                             smith_diagonal, smith_normal_form, tensor_with_zp)
 
-from oracles import det_cofactor, minors_gcd
+from corpus import scrambled_relations
+from oracles import det_bareiss, det_cofactor, minors_gcd
+from test_fp import coxeter, parabolics
 
 
 def test_snf_single_row_gcd():
@@ -60,6 +66,157 @@ def test_snf_random_matrices_against_minor_gcd_oracle():
             for k, dk in enumerate(diag, start=1):
                 prod *= dk
                 assert prod == minors_gcd(rows, k)
+            assert diag == pivot_snf(m)[1].diagonal_entries()
+            assert smith_diagonal(m) == diag
+
+
+def pivot_snf(matrix):
+    """The Smith normal form without a Hermite phase that the current one
+    replaced, kept as the reference for D. Its U and V grow without bound:
+    16,193 bits on the 60 x 60 matrix of `test_snf_transforms_stay_small`."""
+    if not isinstance(matrix, IntMatrix):
+        matrix = IntMatrix(matrix)
+    r, c = matrix.rows, matrix.cols
+    a = [list(row) for row in matrix.entries]
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    def move_pivot(t):
+        i0, j0 = _find_pivot(a, t, r, c)
+        if i0 != t:
+            a[t], a[i0] = a[i0], a[t]
+            u[t], u[i0] = u[i0], u[t]
+        if j0 != t:
+            for row in a:
+                row[t], row[j0] = row[j0], row[t]
+            for row in v:
+                row[t], row[j0] = row[j0], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+
+    t = 0
+    while t < min(r, c):
+        if _find_pivot(a, t, r, c) is None:
+            break
+        while True:
+            move_pivot(t)
+            # Clear column t and row t; a nonzero remainder means the pivot
+            # was not the gcd yet, so re-pick (strictly smaller) and retry.
+            while True:
+                dirty = False
+                d = a[t][t]
+                for i in range(t + 1, r):
+                    if a[i][t] == 0:
+                        continue
+                    q = a[i][t] // d
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if a[i][t] != 0:
+                        dirty = True
+                d = a[t][t]
+                for j in range(t + 1, c):
+                    if a[t][j] == 0:
+                        continue
+                    q = a[t][j] // d
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[t]
+                        for row in v:
+                            row[j] -= q * row[t]
+                    if a[t][j] != 0:
+                        dirty = True
+                if not dirty:
+                    break
+                move_pivot(t)
+            # Divisibility: the pivot must divide the whole remaining block.
+            viol = None
+            d = a[t][t]
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if a[i][j] % d != 0:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[viol])]
+            u[t] = [x + y for x, y in zip(u[t], u[viol])]
+        t += 1
+
+    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
+
+
+def snf_corpus():
+    """Matrices on which the Smith form is checked against `pivot_snf`."""
+    rng = random.Random(1979)
+    for r, c in ((6, 6), (8, 8), (12, 12), (4, 9), (5, 12), (9, 4), (12, 5),
+                 (20, 7), (7, 20)):
+        for _ in range(4):
+            yield [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+    # rank-deficient: a product through an inner dimension k < min(r, c)
+    for r, c, k in ((6, 6, 3), (8, 5, 2), (5, 8, 4), (7, 7, 1), (10, 10, 6)):
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(k)]
+        yield [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)]
+               for row in left]
+    for r, c in ((1, 1), (3, 3), (2, 5), (5, 2)):
+        yield [[0] * c for _ in range(r)]
+    for n in (1, 2, 7, 15):
+        yield [[rng.randint(-30, 30) for _ in range(n)]]
+        yield [[rng.randint(-30, 30)] for _ in range(n)]
+    yield []
+    yield [[], [], []]
+    for n in (4, 5):
+        p = coxeter(n)
+        for words in parabolics(p):
+            sub = reidemeister_schreier(p, todd_coxeter(p, words))
+            if sub.relators:
+                yield [w.exponent_vector(sub.ngens) for w in sub.relators]
+    for _ in range(8):
+        cols = rng.randrange(16, 25)
+        chain = []
+        for d in sorted(rng.choice((2, 3, 4, 6)) for _ in range(3)):
+            chain.append(d if not chain else d * chain[-1] // gcd(d, chain[-1]))
+        free = rng.randrange(0, 3)
+        diagonal = [1] * (cols - len(chain) - free) + chain + [0] * free
+        yield scrambled_relations(rng, diagonal, 2 * cols)
+
+
+def test_snf_matches_pivot_reference():
+    count = 0
+    for rows in snf_corpus():
+        m = IntMatrix(rows)
+        u, d, v = smith_normal_form(m)
+        assert d == pivot_snf(m)[1], rows
+        assert u @ m @ v == d
+        assert det_bareiss(u.entries) in (1, -1)
+        assert det_bareiss(v.entries) in (1, -1)
+        assert smith_diagonal(m) == d.diagonal_entries()
+        assert smith_normal_form(m) == (u, d, v)
+        if m.rows > m.cols > 0:
+            # a tall matrix is worked on as its transpose, which keeps the
+            # transform carried through the Hermite phase the smaller one
+            ut, dt, vt = smith_normal_form(IntMatrix(list(zip(*rows))))
+            assert (u, d, v) == tuple(IntMatrix(list(zip(*w.entries)))
+                                      for w in (vt, dt, ut))
+        count += 1
+    assert count == 36 + 5 + 4 + 8 + 2 + 7 + 15 + 8
+
+
+def test_snf_transforms_stay_small(capsys):
+    rng = random.Random(3)
+    rows = [[rng.randint(-9, 9) for _ in range(60)] for _ in range(60)]
+    assert cli.run(["snf", "--matrix", json.dumps(rows), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    m = IntMatrix(rows)
+    u, d, v = (IntMatrix(json.loads(out[k])) for k in "UDV")
+    assert (u, d, v) == smith_normal_form(m)
+    assert max(abs(x).bit_length() for w in (u, v) for row in w.entries
+               for x in row) <= 1024
+    assert u @ m @ v == d
 
 
 def test_cokernel_examples():
