@@ -219,7 +219,7 @@ def cmd_rs(args):
     table = fp_mod.todd_coxeter(presentation, words, args.max_cosets)
     sub = fp_mod.reidemeister_schreier(presentation, table)
     return {"presentation": str(presentation), "index": table.index,
-            "schreier_generators": len(table.schreier_generators()),
+            "schreier_generators": len(table.schreier_edges()),
             "subgroup_presentation": str(sub),
             "subgroup_abelianization": fp_mod.abelianization(sub).as_dict()}, 0
 

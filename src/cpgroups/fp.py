@@ -8,11 +8,11 @@ reduced. A presentation is a tuple of generator names plus relator words;
 Coset enumeration is Felsch-style: a deduction stack is processed after
 every definition, and new cosets are defined at the lowest live coset and
 lowest column first, so enumeration is deterministic. Closed tables are
-compressed (no dead cosets) and standardized: cosets are numbered in first
-appearance order, reading the table row by row with columns interleaved as
-g, g^-1, next generator, and so on. That numbering is a convention of this
-module, chosen so that tables, spanning trees, and Schreier generators are
-reproducible across runs.
+standardized: cosets are numbered in first appearance order, reading the
+table row by row with columns interleaved as g, g^-1, next generator, and
+so on, so that tables, spanning trees, and Schreier generators are
+reproducible across runs. One breadth-first walk numbers both enumerated
+tables (dead cosets drop out on the way) and tables read off an action.
 
 The lowest undefined entry is found from a cursor rather than by a rescan
 from coset 0, so choosing the next definition no longer costs a pass over
@@ -22,8 +22,10 @@ entry of a possibly live row (in coincidence processing) lowers the cursor
 to that row, so the cursor finds exactly the entry a rescan would.
 
 Tables validate their own invariants on construction: every column is a
-bijection, every relator traces to the identity at every coset, and the
-subgroup words fix coset 0.
+bijection, cosets appear in order, every relator traces to the identity at
+every coset, and the subgroup words fix coset 0. The scan that checks the
+order records each coset's first entry as its spanning-tree edge, which
+coset representatives and Schreier edges are read from.
 """
 
 from __future__ import annotations
@@ -284,10 +286,15 @@ class CosetTable:
         cols = 2 * self.presentation.ngens
         if n == 0:
             raise ValueError("a coset table has at least one coset")
+        if any(len(row) != cols for row in self.rows):
+            raise ValueError("row width disagrees with the generator count")
+        # parent[t] is the entry (a, c) at which coset t first appears; a
+        # row is scanned only after its coset has appeared, so a < t
+        parent = [None]
         seen_max = 0
         for a, row in enumerate(self.rows):
-            if len(row) != cols:
-                raise ValueError("row width disagrees with the generator count")
+            if a > seen_max:
+                raise ValueError("table is not in first-appearance order")
             for c, t in enumerate(row):
                 if not 0 <= t < n:
                     raise ValueError(f"entry {t} out of range at ({a}, {c})")
@@ -297,6 +304,8 @@ class CosetTable:
                     if t != seen_max + 1:
                         raise ValueError("table is not in first-appearance order")
                     seen_max = t
+                    parent.append((a, c))
+        self._parent = tuple(parent)
         for rel in self.presentation.relators:
             columns = _columns(rel)
             for a in range(n):
@@ -321,46 +330,36 @@ class CosetTable:
         return [Perm(tuple(self.rows[a][2 * g] for a in range(n)))
                 for g in range(self.presentation.ngens)]
 
-    def _spanning_tree(self):
-        # parent edges by first appearance; standardization guarantees that
-        # scanning rows in order meets every coset > 0 exactly once as "new"
-        parent = {0: None}
-        for a, row in enumerate(self.rows):
-            for c, t in enumerate(row):
-                if t not in parent:
-                    parent[t] = (a, c)
-        return parent
-
     def coset_representative_words(self):
         """Word reaching each coset from coset 0 along the spanning tree."""
-        parent = self._spanning_tree()
-        reps = [None] * len(self.rows)
-        reps[0] = Word()
-        for coset in range(1, len(self.rows)):
-            a, c = parent[coset]
-            step = Word(((c // 2, 1 if c % 2 == 0 else -1),))
-            reps[coset] = reps[a] * step
+        reps = [Word()]
+        for a, c in self._parent[1:]:
+            reps.append(reps[a] * Word(((c >> 1, -1 if c & 1 else 1),)))
         return reps
+
+    def schreier_edges(self):
+        """The non-tree edges a --g--> a.g of the coset graph, as (a, g)
+        pairs in scan order. For an index-n subgroup of a rank-r free group
+        there are n*r - n + 1 of them."""
+        parent = self._parent
+        edges = []
+        for a, row in enumerate(self.rows):
+            for g in range(self.presentation.ngens):
+                b = row[2 * g]
+                if parent[b] != (a, 2 * g) and parent[a] != (b, 2 * g + 1):
+                    edges.append((a, g))
+        return edges
 
     def schreier_generators(self):
         """Subgroup generators from the non-tree edges of the coset graph.
 
-        Returns (coset, generator, word) triples in scan order; `word` is the
-        Schreier element u_coset * g * u_{coset.g}^-1 written in the original
-        generators. For an index-n subgroup of a rank-r free group there are
-        n*r - n + 1 of them.
+        Returns (coset, generator, word) triples in the order of
+        `schreier_edges`; `word` is the Schreier element
+        u_coset * g * u_{coset.g}^-1 written in the original generators.
         """
-        parent = self._spanning_tree()
         reps = self.coset_representative_words()
-        out = []
-        for a in range(len(self.rows)):
-            for g in range(self.presentation.ngens):
-                b = self.rows[a][2 * g]
-                if parent.get(b) == (a, 2 * g) or parent.get(a) == (b, 2 * g + 1):
-                    continue
-                word = reps[a] * Word(((g, 1),)) * reps[b].inverse()
-                out.append((a, g, word))
-        return out
+        return [(a, g, reps[a] * Word(((g, 1),)) * reps[self.rows[a][2 * g]].inverse())
+                for a, g in self.schreier_edges()]
 
     def __str__(self):
         names = self.presentation.generators
@@ -540,26 +539,33 @@ class _Enumerator:
             if pos is None:
                 break
             self.define(*pos)
-        live = [i for i in range(len(self.table)) if self.p[i] == i]
-        renum = {old: new for new, old in enumerate(live)}
-        return [[renum[self.find(t)] for t in self.table[old]] for old in live]
+        # every live coset has a row, so the state cap never trips here
+        table, find = self.table, self.find
+        return _first_appearance(0, self.cols, lambda a, c: find(table[a][c]),
+                                 len(table))
 
 
-def _standardize(rows):
-    new = {0: 0}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        for t in rows[a]:
-            if t not in new:
-                new[t] = len(new)
-                order.append(t)
-    out = [None] * len(rows)
-    for a, row in enumerate(rows):
-        out[new[a]] = tuple(new[t] for t in row)
-    return out
+def _first_appearance(initial, cols, step, max_states):
+    """Rows of the table that `step(state, column)` defines on the states
+    reachable from `initial`, numbered breadth-first in column order: the
+    standardized numbering. More than `max_states` states raise CapExceeded.
+    """
+    labels = {initial: 0}
+    order = [initial]
+    rows = []
+    for state in order:  # grows while it is read
+        row = []
+        for c in range(cols):
+            target = step(state, c)
+            label = labels.get(target)
+            if label is None:
+                if len(order) >= max_states:
+                    raise CapExceeded(f"coset action exceeds {max_states} states")
+                label = labels[target] = len(order)
+                order.append(target)
+            row.append(label)
+        rows.append(row)
+    return rows
 
 
 def todd_coxeter(presentation, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
@@ -574,8 +580,7 @@ def todd_coxeter(presentation, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS)
         raise ValueError("max_cosets must be >= 1")
     subgroup_words = tuple(subgroup_words)
     enum = _Enumerator(presentation, subgroup_words, max_cosets)
-    rows = enum.run()
-    return CosetTable(presentation, subgroup_words, _standardize(rows))
+    return CosetTable(presentation, subgroup_words, enum.run())
 
 
 def evaluate_word(word, images):
@@ -612,25 +617,9 @@ def coset_table_from_action(presentation, initial, act, max_states):
     CosetTable invariants). States are discovered breadth-first in column
     order, which yields the standardized numbering directly.
     """
-    labels = {initial: 0}
-    order = [initial]
-    rows = []
-    qi = 0
-    while qi < len(order):
-        state = order[qi]
-        qi += 1
-        row = []
-        for g in range(presentation.ngens):
-            for sign in (1, -1):
-                target = act(state, g, sign)
-                if target not in labels:
-                    if len(order) >= max_states:
-                        raise CapExceeded(
-                            f"coset action exceeds {max_states} states")
-                    labels[target] = len(order)
-                    order.append(target)
-                row.append(labels[target])
-        rows.append(row)
+    rows = _first_appearance(
+        initial, 2 * presentation.ngens,
+        lambda state, c: act(state, c >> 1, -1 if c & 1 else 1), max_states)
     return CosetTable(presentation, (), rows)
 
 
@@ -663,8 +652,8 @@ def reidemeister_schreier(presentation, table):
     generators such relators trivialize. No Tietze search is attempted, so
     the output is deterministic.
     """
-    sgens = table.schreier_generators()
-    edge_index = {(a, g): k for k, (a, g, _) in enumerate(sgens)}
+    edges = table.schreier_edges()
+    edge_index = {edge: k for k, edge in enumerate(edges)}
     rows = table.rows
     relator_columns = [_columns(rel) for rel in presentation.relators]
     rewritten = []
@@ -705,7 +694,7 @@ def reidemeister_schreier(presentation, table):
         rels = [Word(tuple(s for s in w.syllables if s[0] not in victims))
                 for w in rels]
 
-    alive = [k for k in range(len(sgens)) if k not in killed]
+    alive = [k for k in range(len(edges)) if k not in killed]
     remap = {old: new for new, old in enumerate(alive)}
     names = tuple(f"x{k}" for k in alive)
     relators = tuple(Word(tuple((remap[g], e) for g, e in w.syllables))

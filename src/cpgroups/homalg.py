@@ -40,7 +40,10 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
+        bad = [x for row in rows for x in row if type(x) is not int]  # bool too
+        if bad:
+            raise ValueError(f"matrix entry {bad[0]!r} is not an integer")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

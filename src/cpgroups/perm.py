@@ -204,7 +204,8 @@ def parse_cycles(text, degree=None):
 
     Whitespace-insensitive; commas between points are tolerated. Non-disjoint
     cycles compose left to right. The degree defaults to the largest point
-    mentioned; an explicit degree may only enlarge it.
+    mentioned; an explicit degree may only enlarge it. A degree over
+    DEFAULT_DEGREE_CAP raises CapExceeded before the image list is built.
     """
     s = text.strip()
     if not s:
@@ -240,6 +241,8 @@ def parse_cycles(text, degree=None):
         degree = max(needed, 1)
     elif degree < needed:
         raise ValueError(f"degree {degree} too small for {text!r}")
+    if degree > DEFAULT_DEGREE_CAP:
+        raise CapExceeded(f"degree {degree} exceeds cap {DEFAULT_DEGREE_CAP}")
     return Perm.from_cycles(degree, cycles)
 
 

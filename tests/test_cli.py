@@ -173,6 +173,13 @@ def test_snf_command(capsys):
     code = cli.run(["snf", "--matrix", "not json"])
     capsys.readouterr()
     assert code == 2
+    # entries that are not integers are refused, not truncated or overflowed
+    for matrix in ("[[1.5]]", "[[true]]", "[[2.0, 4]]", "[[1e400]]"):
+        code = cli.run(["snf", "--matrix", matrix])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", matrix
+        assert captured.err.startswith("error: matrix entry "), matrix
+        assert "Traceback" not in captured.err, matrix
 
 
 def test_aut_budget_exit_code(capsys):

@@ -196,6 +196,33 @@ class RescanEnumerator(_Enumerator):
         return None
 
 
+def _standardize(rows):
+    new = {0: 0}
+    order = [0]
+    qi = 0
+    while qi < len(order):
+        a = order[qi]
+        qi += 1
+        for t in rows[a]:
+            if t not in new:
+                new[t] = len(new)
+                order.append(t)
+    out = [None] * len(rows)
+    for a, row in enumerate(rows):
+        out[new[a]] = tuple(new[t] for t in row)
+    return out
+
+
+def compacted_standardized_rows(enum):
+    """The rows of a closed enumeration as the compaction pass at the end of
+    `_Enumerator.run` and a separate `_standardize` used to number them,
+    before one first-appearance walk replaced both. Kept as the reference
+    for that walk."""
+    live = [i for i in range(len(enum.table)) if enum.p[i] == i]
+    renum = {old: new for new, old in enumerate(live)}
+    return _standardize([[renum[enum.find(t)] for t in enum.table[old]] for old in live])
+
+
 def coxeter(n):
     """The Coxeter presentation of S_n on s0..s_{n-2}."""
     names = [f"s{i}" for i in range(n - 1)]
@@ -242,7 +269,9 @@ def test_cursor_enumeration_matches_full_rescan():
     for p, words in cursor_corpus():
         fast = _Enumerator(p, words, 10_000)
         slow = RescanEnumerator(p, words, 10_000)
-        assert fast.run() == slow.run(), (p, words)
+        rows = fast.run()
+        assert rows == slow.run(), (p, words)
+        assert [tuple(r) for r in rows] == compacted_standardized_rows(fast), (p, words)
         assert fast.total == slow.total, (p, words)
         count += 1
     assert count == 8 + 16 + 32 + 2 * 4 + 36
@@ -285,8 +314,26 @@ def test_todd_coxeter_deterministic():
 
 def test_coset_table_validation():
     p = parse_presentation("< a | a^2 >")
-    with pytest.raises(ValueError):
-        CosetTable(p, (), [[1, 1], [1, 1]])  # column not a bijection
+    with pytest.raises(ValueError, match="not a bijection"):
+        CosetTable(p, (), [[1, 1], [1, 1]])
+    with pytest.raises(ValueError, match="out of range"):
+        CosetTable(p, (), [[1, 2], [0, 0]])
+    with pytest.raises(ValueError, match="row width"):
+        CosetTable(p, (), [[1, 1], [0]])
+    # a valid table of < a | a^3 >, except that coset 2 appears before 1
+    z3 = parse_presentation("< a | a^3 >")
+    with pytest.raises(ValueError, match="first-appearance order"):
+        CosetTable(z3, (), [[2, 1], [0, 2], [1, 0]])
+    # coset 1 is never reached from coset 0, so its row comes too early
+    free = parse_presentation("< a | >")
+    with pytest.raises(ValueError, match="first-appearance order"):
+        CosetTable(free, (), [[0, 0], [1, 1]])
+    with pytest.raises(ValueError, match="relator does not close"):
+        CosetTable(p, (), [[1, 2], [2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="subgroup word does not fix"):
+        CosetTable(p, [p.word("a")], [[1, 1], [0, 0]])
+    table = CosetTable(z3, (), [[1, 2], [2, 0], [0, 1]])
+    assert table._parent == (None, (0, 0), (0, 1))
 
 
 def test_verify_hom():
@@ -393,6 +440,44 @@ def test_rs_nielsen_schreier_rank():
     assert abelianization(sub) == AbelianStructure(free_rank=2 * (3 - 1) + 1)
 
 
+def spanning_tree(table):
+    """`CosetTable._spanning_tree` before `_validate` recorded the tree,
+    kept as the reference for it (with the two methods below)."""
+    # parent edges by first appearance; standardization guarantees that
+    # scanning rows in order meets every coset > 0 exactly once as "new"
+    parent = {0: None}
+    for a, row in enumerate(table.rows):
+        for c, t in enumerate(row):
+            if t not in parent:
+                parent[t] = (a, c)
+    return parent
+
+
+def rescan_representative_words(table):
+    parent = spanning_tree(table)
+    reps = [None] * len(table.rows)
+    reps[0] = Word()
+    for coset in range(1, len(table.rows)):
+        a, c = parent[coset]
+        step = Word(((c // 2, 1 if c % 2 == 0 else -1),))
+        reps[coset] = reps[a] * step
+    return reps
+
+
+def rescan_schreier_generators(table):
+    parent = spanning_tree(table)
+    reps = rescan_representative_words(table)
+    out = []
+    for a in range(len(table.rows)):
+        for g in range(table.presentation.ngens):
+            b = table.rows[a][2 * g]
+            if parent.get(b) == (a, 2 * g) or parent.get(a) == (b, 2 * g + 1):
+                continue
+            word = reps[a] * Word(((g, 1),)) * reps[b].inverse()
+            out.append((a, g, word))
+    return out
+
+
 def one_victim_rs(presentation, table):
     """reidemeister_schreier with the simplification that killing every
     trivialized generator of a pass at once replaced: one kill per pass,
@@ -481,6 +566,12 @@ def test_rs_kill_sets_match_one_victim_reference():
     for p, table in rs_corpus():
         assert reidemeister_schreier(p, table) == one_victim_rs(p, table), \
             (str(p), table.index)
+        # the tree recorded by validation, and everything read from it
+        assert dict(enumerate(table._parent)) == spanning_tree(table)
+        sgens = rescan_schreier_generators(table)
+        assert table.schreier_generators() == sgens
+        assert table.schreier_edges() == [(a, g) for a, g, _ in sgens]
+        assert len(sgens) == table.index * p.ngens - table.index + 1
         count += 1
     assert count == 8 + 16 + 9 + 36 + 3 * (5 + 3) + 36
 

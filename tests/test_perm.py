@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -38,6 +39,18 @@ def test_cycle_parse_errors():
         parse_cycles("(1 1 2)")
     with pytest.raises(ValueError):
         parse_cycles("(1 2 3)", degree=2)
+    # the degree cap holds before the image list (megabytes at 10^6) is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="degree 1000000 exceeds cap 64"):
+            parse_cycles("(1 1000000)")
+        with pytest.raises(CapExceeded, match="degree 1000000 exceeds cap 64"):
+            parse_cycles("(1 2)", degree=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert parse_cycles("(1 64)").degree == 64
 
 
 def test_product_reads_left_to_right():
