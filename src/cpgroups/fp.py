@@ -11,8 +11,11 @@ lowest column first, so enumeration is deterministic. Closed tables are
 standardized: cosets are numbered in first appearance order, reading the
 table row by row with columns interleaved as g, g^-1, next generator, and
 so on, so that tables, spanning trees, and Schreier generators are
-reproducible across runs. One breadth-first walk numbers both enumerated
-tables (dead cosets drop out on the way) and tables read off an action.
+reproducible across runs. One breadth-first walk, the perm module's
+`_first_appearance`, numbers both enumerated tables (dead cosets drop out
+on the way) and tables read off an action, as it numbers group elements,
+Cayley-graph columns and the cosets of G/N there. Words longer than
+DEFAULT_MAX_COSETS letters are refused before they are expanded.
 
 The lowest undefined entry is found from a cursor rather than by a rescan
 from coset 0, so choosing the next definition no longer costs a pass over
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
 from .homalg import AbelianStructure, IntMatrix, cokernel_structure
-from .perm import Perm
+from .perm import Perm, _first_appearance
 
 DEFAULT_MAX_COSETS = 1_000_000
 
@@ -119,7 +122,14 @@ class Word:
 
 
 def _columns(word):
-    """The word as a tuple of coset table columns: 2*g for g, 2*g + 1 for g^-1."""
+    """The word as a tuple of coset table columns: 2*g for g, 2*g + 1 for g^-1.
+
+    A word of more than DEFAULT_MAX_COSETS letters raises CapExceeded before
+    it is expanded.
+    """
+    letters = word.letter_count()
+    if letters > DEFAULT_MAX_COSETS:
+        raise CapExceeded(f"word of {letters} letters exceeds cap {DEFAULT_MAX_COSETS}")
     return tuple(c for g, e in word.syllables for c in (2 * g + (e < 0),) * abs(e))
 
 
@@ -542,30 +552,7 @@ class _Enumerator:
         # every live coset has a row, so the state cap never trips here
         table, find = self.table, self.find
         return _first_appearance(0, self.cols, lambda a, c: find(table[a][c]),
-                                 len(table))
-
-
-def _first_appearance(initial, cols, step, max_states):
-    """Rows of the table that `step(state, column)` defines on the states
-    reachable from `initial`, numbered breadth-first in column order: the
-    standardized numbering. More than `max_states` states raise CapExceeded.
-    """
-    labels = {initial: 0}
-    order = [initial]
-    rows = []
-    for state in order:  # grows while it is read
-        row = []
-        for c in range(cols):
-            target = step(state, c)
-            label = labels.get(target)
-            if label is None:
-                if len(order) >= max_states:
-                    raise CapExceeded(f"coset action exceeds {max_states} states")
-                label = labels[target] = len(order)
-                order.append(target)
-            row.append(label)
-        rows.append(row)
-    return rows
+                                 len(table))[2]
 
 
 def todd_coxeter(presentation, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
@@ -619,11 +606,11 @@ def coset_table_from_action(presentation, initial, act, max_states):
     """
     rows = _first_appearance(
         initial, 2 * presentation.ngens,
-        lambda state, c: act(state, c >> 1, -1 if c & 1 else 1), max_states)
+        lambda state, c: act(state, c >> 1, -1 if c & 1 else 1), max_states)[2]
     return CosetTable(presentation, (), rows)
 
 
-def kernel_coset_table(presentation, images, order_cap=DEFAULT_MAX_COSETS):
+def kernel_coset_table(presentation, images):
     """Coset table of the kernel of the homomorphism given by `images`.
 
     Cosets of the kernel correspond to elements of the image group, acted on
@@ -639,7 +626,7 @@ def kernel_coset_table(presentation, images, order_cap=DEFAULT_MAX_COSETS):
         return state * (images[gen] if sign > 0 else inverses[gen])
 
     return coset_table_from_action(
-        presentation, Perm.identity(images[0].degree), act, order_cap)
+        presentation, Perm.identity(images[0].degree), act, DEFAULT_MAX_COSETS)
 
 
 def reidemeister_schreier(presentation, table):

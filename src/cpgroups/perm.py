@@ -22,8 +22,13 @@ extends a copy of the derived subgroup's chain); once built, every query
 is read-only, so sharing a group between threads is safe. Quotients G/N
 tell the cosets of N apart by a key read off N's chain.
 
-Elements come from one breadth-first walk of the Cayley graph. The
-automorphism search backtracks over generator images, pruning by the
+One breadth-first walk, `_first_appearance`, numbers every finite action
+in first-appearance order: the Cayley graph (the elements, and the right
+multiplication columns and tree the automorphism search reads), the
+action of G on the cosets of a normal N (the images of G/N are its rows),
+and the coset tables of the fp module.
+
+The automorphism search backtracks over generator images, pruning by the
 (element order, centralizer order) fingerprint, with centralizer orders
 read off conjugacy class sizes. It never builds the |G| x |G| table: right
 multiplication by an element is a column built along the walk's tree, only
@@ -410,31 +415,34 @@ class _StabilizerChain:
         return z
 
 
-def _cayley(degree, generators):
-    """Breadth-first walk of the Cayley graph from the identity.
+def _first_appearance(initial, cols, step, max_states=None):
+    """Breadth-first walk of the action `step(state, column)` from `initial`.
 
-    Returns (elements, index, right, parent, pgen): the elements in walk
-    order, the position of each, right[k][i] = position of elements[i] *
-    generators[k], and for i > 0 the tree edge elements[i] =
-    elements[parent[i]] * generators[pgen[i]] with parent[i] < i.
+    States are numbered in the order the walk meets them, reading the
+    columns of each state in order: the standardized (first-appearance)
+    numbering. Returns (states, labels, rows, tree): the states in that
+    order, the label of each, rows[i][c] = label of step(states[i], c), and
+    for i > 0 tree[i] = (a, c), the entry at which states[i] first appeared
+    (a < i). More than `max_states` states raise CapExceeded.
     """
-    identity = Perm.identity(degree)
-    elements = [identity]
-    index = {identity: 0}
-    right = [[] for _ in generators]
-    parent = [0]
-    pgen = [-1]
-    for i, x in enumerate(elements):  # the list grows while it is walked
-        for k, g in enumerate(generators):
-            y = x * g
-            j = index.get(y)
-            if j is None:
-                j = index[y] = len(elements)
-                elements.append(y)
-                parent.append(i)
-                pgen.append(k)
-            right[k].append(j)
-    return elements, index, right, parent, pgen
+    labels = {initial: 0}
+    states = [initial]
+    rows = []
+    tree = [None]
+    for a, state in enumerate(states):  # the list grows while it is walked
+        row = []
+        for c in range(cols):
+            target = step(state, c)
+            label = labels.get(target)
+            if label is None:
+                if max_states is not None and len(states) >= max_states:
+                    raise CapExceeded(f"coset action exceeds {max_states} states")
+                label = labels[target] = len(states)
+                states.append(target)
+                tree.append((a, c))
+            row.append(label)
+        rows.append(row)
+    return states, labels, rows, tree
 
 
 class PermGroup:
@@ -497,7 +505,9 @@ class PermGroup:
         generators (deterministic for a given generator list)."""
         if self._elements is None:
             n = self.order()  # enforces the degree cap before the walk
-            elements = _cayley(self.degree, self.generators)[0]
+            gens = self.generators
+            elements = _first_appearance(Perm.identity(self.degree), len(gens),
+                                         lambda x, k: x * gens[k])[0]
             if len(elements) != n:
                 raise RuntimeError("element enumeration disagrees with the group order")
             self._elements = tuple(elements)
@@ -617,41 +627,32 @@ class QuotientAction:
         return Perm._raw(tuple(labels[self._canon(rep * x)] for rep in self._reps))
 
 
-def quotient_regular_action(group, normal, index_cap=DEFAULT_INDEX_CAP):
+def quotient_regular_action(group, normal):
     """G/N as a permutation group on the cosets of N (N must be normal).
 
     Normality is always checked, never assumed. Cosets are told apart by
-    `_StabilizerChain.coset_key` on N's chain, and labelled in the order a
-    breadth-first walk over G's generators meets them. Returns a
+    `_StabilizerChain.coset_key` on N's chain; the key is itself an element
+    of its coset, and Ng = gN, so a walk over the keys by right
+    multiplication with G's generators labels the cosets in the order it
+    meets them and reads the quotient images off its rows. Returns a
     QuotientAction so callers get both the quotient group and the quotient
     map on generators.
     """
     _require_normal(group, normal, "N")
     index = group.order() // normal.order()
-    if index > index_cap:
-        raise CapExceeded(f"index {index} exceeds cap {index_cap}")
+    if index > DEFAULT_INDEX_CAP:
+        raise CapExceeded(f"index {index} exceeds cap {DEFAULT_INDEX_CAP}")
     chain = normal.chain
     canon = chain.coset_key
-    identity = Perm.identity(group.degree)
-    reps = [identity]
-    labels = {canon(identity): 0}
-    qi = 0
-    while qi < len(reps):
-        rep = reps[qi]
-        qi += 1
-        for g in group.generators:
-            t = rep * g
-            key = canon(t)
-            if key not in labels:
-                labels[key] = len(reps)
-                reps.append(t)
-    if len(reps) != index:
+    gens = group.generators
+    keys, labels, rows, _ = _first_appearance(
+        canon(Perm.identity(group.degree)), len(gens),
+        lambda z, k: canon(Perm._raw(z) * gens[k]))
+    if len(keys) != index:
         raise RuntimeError("coset count disagrees with the index")  # unreachable
-    images = tuple(
-        Perm._raw(tuple(labels[canon(rep * g)] for rep in reps))
-        for g in group.generators)
+    images = tuple(map(Perm._raw, zip(*rows)))
     quotient = PermGroup(index, images, degree_cap=None)
-    return QuotientAction(quotient, images, reps, labels, chain)
+    return QuotientAction(quotient, images, [Perm._raw(z) for z in keys], labels, chain)
 
 
 def direct_product(g, h):
@@ -722,8 +723,7 @@ class AutomorphismSet:
         return self._perm_group
 
 
-def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
-                     order_cap=DEFAULT_AUT_ORDER_CAP):
+def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     """Search for the full automorphism group by backtracking over images.
 
     Candidate images are pruned by the (element order, centralizer order)
@@ -739,32 +739,35 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
     if group._aut is not None:
         return group._aut
     n = group.order()
-    if n > order_cap:
-        raise CapExceeded(f"group order {n} exceeds automorphism search cap {order_cap}")
+    if n > DEFAULT_AUT_ORDER_CAP:
+        raise CapExceeded(
+            f"group order {n} exceeds automorphism search cap {DEFAULT_AUT_ORDER_CAP}")
 
     kept = _reduce_generators(group, group.generators).generators
     if len(kept) > 3:
         raise CapExceeded(
             f"{len(kept)} independent generators; the search requires at most 3")
 
-    elems, index, right, parent, pgen = _cayley(group.degree, kept)
+    elems, index, rows, tree = _first_appearance(
+        Perm.identity(group.degree), len(kept), lambda x, k: x * kept[k])
     if len(elems) != n:
         raise RuntimeError("element enumeration disagrees with the group order")
     gidx = [index[g] for g in kept]
     m = len(gidx)
+    right = list(zip(*rows))  # right[k][x] = position of elements[x] * g_k
 
-    # cols[j][x] = position of x * elements[j]; x * j = (x * parent(j)) *
-    # gen(j), so a column follows from its parent's along the walk's tree
+    # cols[j][x] = position of x * elements[j]; x * j = (x * a) * g_k for
+    # the tree entry (a, k) of j, so a column follows from a's along the tree
     cols = {0: range(n)}
 
     def col(j):
         path = []
         while j not in cols:
             path.append(j)
-            j = parent[j]
+            j = tree[j][0]
         c = cols[j]
         for j in reversed(path):
-            r = right[pgen[j]]
+            r = right[tree[j][1]]
             c = cols[j] = [r[x] for x in c]
         return c
 
@@ -791,12 +794,12 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
                   for gi in gidx]
     # targets[k][l]: fingerprint of g_l g_k. It is also that of g_k g_l, a
     # conjugate, so one order of each product is checked.
-    targets = [[fingerprint[right[k][gidx[l]]] for l in range(k)] for k in range(m)]
+    targets = [[fingerprint[rows[gidx[l]][k]] for l in range(k)] for k in range(m)]
 
     # the walk's edges x -> x * g_k in walk order, flagging the tree edge
     # that first reaches each element
-    edges = [(x, k, y, pgen[y] == k and parent[y] == x)
-             for x in range(n) for k, y in enumerate(r[x] for r in right)]
+    edges = [(x, k, y, tree[y] == (x, k))
+             for x, row in enumerate(rows) for k, y in enumerate(row)]
 
     def verify(img):
         # phi(x g_k) = phi(x) img_k: tree edges define phi, and every other

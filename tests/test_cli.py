@@ -89,6 +89,14 @@ def test_input_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error" in captured.err
+    # a relator too long to expand is refused, not a MemoryError traceback
+    presentation = "< a, b | a^99999999999999 >"
+    for argv in (["coset-enum"], ["rs"], ["cp-kernel", "--p", "2"]):
+        code = cli.run(argv + ["--presentation", presentation])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == ("error: word of 99999999999999 letters "
+                                "exceeds cap 1000000\n"), argv
 
 
 def test_budget_exit_code(capsys):

@@ -1,14 +1,15 @@
 import itertools
 import random
 import time
+import tracemalloc
 from math import factorial
 
 import pytest
 
 from cpgroups.cp import cp_kernel_coset_table
-from cpgroups.errors import BudgetExhausted, PresentationSyntaxError
-from cpgroups.fp import (CosetTable, FpPresentation, Word, _columns,
-                         _Enumerator, abelianization, evaluate_word,
+from cpgroups.errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
+from cpgroups.fp import (DEFAULT_MAX_COSETS, CosetTable, FpPresentation, Word,
+                         _columns, _Enumerator, abelianization, evaluate_word,
                          kernel_coset_table, parse_presentation, parse_word,
                          reidemeister_schreier, todd_coxeter, verify_hom)
 from cpgroups.homalg import AbelianStructure, Z
@@ -305,6 +306,26 @@ def test_coset_budget_runs_out_in_bounded_time():
     # the trefoil enumeration meets no coincidence, so every coset is live
     assert str(info.value) == ("coset budget 50000 exhausted with 50000 live "
                                "cosets; index unknown (possibly infinite)")
+
+
+def test_todd_coxeter_refuses_long_relators_before_expanding():
+    # a relator of 10^14 letters is refused by its letter count, not by
+    # running out of memory while its columns are built
+    long_relator = parse_presentation("< a, b | a^99999999999999 >")
+    long_subgroup = parse_presentation("< a | a^2 >")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded,
+                           match="word of 99999999999999 letters exceeds cap 1000000"):
+            todd_coxeter(long_relator)
+        with pytest.raises(CapExceeded, match="exceeds cap 1000000"):
+            todd_coxeter(long_subgroup, [long_subgroup.word(f"a^-{10**12}")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the cap is inclusive
+    assert len(_columns(Word(((0, DEFAULT_MAX_COSETS),)))) == DEFAULT_MAX_COSETS
 
 
 def test_todd_coxeter_deterministic():

@@ -6,7 +6,7 @@ import pytest
 
 from cpgroups.errors import CapExceeded
 from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
-                           AutomorphismSet, Perm, PermGroup, _cayley,
+                           AutomorphismSet, Perm, PermGroup, _first_appearance,
                            _reduce_generators, _StabilizerChain,
                            alternating_group, aut_group_search, center,
                            centralizer, commutator,
@@ -166,6 +166,36 @@ def test_normal_closure():
         normal_closure(alternating_group(4), [parse_cycles("(1 2)", 4)])
 
 
+def _cayley(degree, generators):
+    """Breadth-first walk of the Cayley graph from the identity.
+
+    Returns (elements, index, right, parent, pgen): the elements in walk
+    order, the position of each, right[k][i] = position of elements[i] *
+    generators[k], and for i > 0 the tree edge elements[i] =
+    elements[parent[i]] * generators[pgen[i]] with parent[i] < i.
+
+    The walk that the shared _first_appearance replaced, kept as its
+    reference.
+    """
+    identity = Perm.identity(degree)
+    elements = [identity]
+    index = {identity: 0}
+    right = [[] for _ in generators]
+    parent = [0]
+    pgen = [-1]
+    for i, x in enumerate(elements):  # the list grows while it is walked
+        for k, g in enumerate(generators):
+            y = x * g
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(elements)
+                elements.append(y)
+                parent.append(i)
+                pgen.append(k)
+            right[k].append(j)
+    return elements, index, right, parent, pgen
+
+
 def test_elements_walk_matches_closure():
     for group in small_groups():
         elements = group.elements()
@@ -181,6 +211,24 @@ def test_elements_walk_matches_closure():
             assert walk[i] == walk[parent[i]] * group.generators[pgen[i]]
         for k, g in enumerate(group.generators):
             assert [walk[j] for j in right[k]] == [x * g for x in walk]
+    # the shared walk numbers the Cayley graph exactly as the reference
+    groups = small_groups() + [g for _, g, _ in aut_reference_corpus()]
+    for group in groups:
+        gens = group.generators
+        states, labels, rows, tree = _first_appearance(
+            Perm.identity(group.degree), len(gens), lambda x, k: x * gens[k])
+        walk, index, right, parent, pgen = _cayley(group.degree, gens)
+        assert states == walk and labels == index, group
+        assert len(rows) == len(walk), group
+        assert [[row[k] for row in rows] for k in range(len(gens))] == right, group
+        assert tree[1:] == list(zip(parent[1:], pgen[1:])), group
+    # no columns: the initial state alone; a state cap raises CapExceeded
+    assert _first_appearance("x", 0, None) == (["x"], {"x": 0}, [[]], [None])
+    gens = symmetric_group(4).generators
+    with pytest.raises(CapExceeded, match="exceeds 23 states"):
+        _first_appearance(Perm.identity(4), 2, lambda x, k: x * gens[k], 23)
+    assert len(_first_appearance(Perm.identity(4), 2,
+                                 lambda x, k: x * gens[k], 24)[0]) == 24
 
 
 def test_quotient_regular_action():
