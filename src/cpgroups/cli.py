@@ -4,8 +4,9 @@ Every subcommand builds one payload dict and renders it either as JSON or
 as flattened key=value lines (same data either way; values are JSON
 scalars). Exit codes: 0 success (or a true answer), 1 a false/negative
 answer with the detail in the payload, 2 input errors, 3 exhausted
-budgets, 4 internal errors (a failed self-check, or an output stream that
-closed before the payload was written).
+budgets, 4 internal errors (a failed self-check, any other unexpected
+exception such as MemoryError, or an output stream that closed before the
+payload was written).
 """
 
 from __future__ import annotations
@@ -437,6 +438,9 @@ def run(argv=None):
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     try:
         print(render(payload, args.format))

@@ -47,8 +47,8 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 def _reduce(syllables):
     stack = []
-    for g, e in syllables:
-        e = int(e)
+    for s in syllables:
+        g, e = s[0], int(s[1])
         if e == 0:
             continue
         if stack and stack[-1][0] == g:
@@ -57,7 +57,8 @@ def _reduce(syllables):
             if merged:
                 stack.append((g, merged))
         else:
-            stack.append((g, e))
+            # int() returns an int exponent itself; then the syllable is shared
+            stack.append(s if e is s[1] else (g, e))
     return tuple(stack)
 
 
@@ -69,10 +70,6 @@ class Word:
 
     def __post_init__(self):
         object.__setattr__(self, "syllables", _reduce(self.syllables))
-
-    @property
-    def is_empty(self):
-        return not self.syllables
 
     def __mul__(self, other):
         return Word(self.syllables + other.syllables)
@@ -333,12 +330,6 @@ class CosetTable:
 
     def trace(self, coset, word):
         return self._walk(coset, _columns(word))
-
-    def generator_perms(self):
-        """The coset action of each generator, as a permutation of cosets."""
-        n = len(self.rows)
-        return [Perm(tuple(self.rows[a][2 * g] for a in range(n)))
-                for g in range(self.presentation.ngens)]
 
     def coset_representative_words(self):
         """Word reaching each coset from coset 0 along the spanning tree."""
@@ -640,52 +631,49 @@ def reidemeister_schreier(presentation, table):
     the output is deterministic.
     """
     edges = table.schreier_edges()
-    edge_index = {edge: k for k, edge in enumerate(edges)}
     rows = table.rows
+    # crossing[a][c]: the Schreier letter entry (a, c) runs along; None on the tree
+    crossing = [[None] * len(rows[0]) for _ in rows]
+    for k, (a, g) in enumerate(edges):
+        crossing[a][2 * g] = (k, 1)
+        crossing[rows[a][2 * g]][2 * g + 1] = (k, -1)
     relator_columns = [_columns(rel) for rel in presentation.relators]
-    rewritten = []
+    rels = []
     for alpha in range(table.index):
         for columns in relator_columns:
             cur = alpha
-            syls = []
+            letters = []
             for c in columns:
-                nxt = rows[cur][c]
-                if c & 1:
-                    k = edge_index.get((nxt, c >> 1))
-                    if k is not None:
-                        syls.append((k, -1))
-                else:
-                    k = edge_index.get((cur, c >> 1))
-                    if k is not None:
-                        syls.append((k, 1))
-                cur = nxt
+                letter = crossing[cur][c]
+                if letter:
+                    letters.append(letter)
+                cur = rows[cur][c]
             if cur != alpha:
                 raise RuntimeError("relator trace did not close")  # unreachable
-            rewritten.append(Word(tuple(syls)))
+            rels.append(_reduce(letters))
 
     # Deleting a set K of generators and then reducing freely is the
     # free-group retraction that kills K. That map is unique and composes
     # over unions, so a relator whose image is x^+-1 keeps that image, or
-    # becomes empty, as K grows. The killed set is therefore the least
-    # fixpoint whatever the order of kills, and each pass kills every
-    # generator that a single-letter relator trivializes at once.
-    killed = set()
-    rels = rewritten
-    while True:
-        rels = [w for w in rels if w.syllables]
-        victims = {w.syllables[0][0] for w in rels
-                   if len(w.syllables) == 1 and abs(w.syllables[0][1]) == 1}
-        if not victims:
-            break
-        killed |= victims
-        rels = [Word(tuple(s for s in w.syllables if s[0] not in victims))
-                for w in rels]
+    # becomes empty, as K grows. So a relator that reduces to x^+-1 under a
+    # killed set inside the least fixpoint forces x into it too, and x can
+    # be killed at once, within the pass. A pass that kills nothing has
+    # re-reduced every relator by the whole killed set and found no x^+-1,
+    # so that set is a fixpoint, and the least one.
+    killed, size = set(), -1
+    while len(killed) > size:
+        size = len(killed)
+        for i, r in enumerate(rels):
+            if not killed.isdisjoint([g for g, _ in r]):
+                r = rels[i] = _reduce(s for s in r if s[0] not in killed)
+            if len(r) == 1 and abs(r[0][1]) == 1:
+                killed.add(r[0][0])
+        rels = [r for r in rels if r]
 
     alive = [k for k in range(len(edges)) if k not in killed]
     remap = {old: new for new, old in enumerate(alive)}
     names = tuple(f"x{k}" for k in alive)
-    relators = tuple(Word(tuple((remap[g], e) for g, e in w.syllables))
-                     for w in rels)
+    relators = tuple(Word(tuple((remap[g], e) for g, e in r)) for r in rels)
     return FpPresentation(names, relators)
 
 

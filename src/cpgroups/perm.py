@@ -47,12 +47,13 @@ import threading
 from functools import lru_cache
 from math import lcm
 
-from .errors import CapExceeded
+from .errors import BudgetExhausted, CapExceeded
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_INDEX_CAP = 10_000
 DEFAULT_AUT_ORDER_CAP = 1000
 DEFAULT_AUT_NODE_BUDGET = 1_000_000
+DEFAULT_AUT_CLOSURE_CAP = 10_000_000
 
 
 class Perm:
@@ -734,7 +735,8 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     new automorphism extends the cache. Nothing unverified is ever
     reported, and a complete search must have found exactly the cached
     keys. If the node budget runs out, the partial set is returned flagged
-    incomplete.
+    incomplete. A closure that would store more than DEFAULT_AUT_CLOSURE_CAP
+    entries (maps x |G|) raises BudgetExhausted instead.
     """
     if group._aut is not None:
         return group._aut
@@ -834,6 +836,10 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
         reps = []
 
         def add_coset(r):
+            if (len(closure) + len(old)) * n > DEFAULT_AUT_CLOSURE_CAP:
+                raise BudgetExhausted(
+                    f"automorphism closure cap {DEFAULT_AUT_CLOSURE_CAP} entries "
+                    f"reached after {nodes} nodes with {len(closure)} maps held")
             reps.append(r)
             for h in old:
                 hr = tuple([r[x] for x in h])  # h, then r

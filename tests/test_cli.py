@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cpgroups import cli, cp
+from cpgroups import cli, cp, fp
 from cpgroups.fp import DEFAULT_MAX_COSETS
 from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, klein_four_group,
                            symmetric_group)
@@ -97,6 +97,24 @@ def test_input_error_exit_code(capsys):
         assert code == 2 and captured.out == "", argv
         assert captured.err == ("error: word of 99999999999999 letters "
                                 "exceeds cap 1000000\n"), argv
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def fail(*args):
+        raise MemoryError("no room for the table")
+
+    monkeypatch.setattr(fp, "todd_coxeter", fail)
+    assert cli.run(["coset-enum", "--presentation", "< a | a^5 >"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: MemoryError: no room for the table\n"
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fp, "todd_coxeter", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(["rs", "--presentation", "< a | a^5 >"])
 
 
 def test_budget_exit_code(capsys):

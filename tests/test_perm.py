@@ -4,8 +4,9 @@ from math import gcd
 
 import pytest
 
-from cpgroups.errors import CapExceeded
-from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
+from cpgroups.errors import BudgetExhausted, CapExceeded
+from cpgroups.perm import (DEFAULT_AUT_CLOSURE_CAP, DEFAULT_AUT_NODE_BUDGET,
+                           DEFAULT_AUT_ORDER_CAP,
                            AutomorphismSet, Perm, PermGroup, _first_appearance,
                            _reduce_generators, _StabilizerChain,
                            alternating_group, aut_group_search, center,
@@ -350,6 +351,20 @@ def test_aut_budget_truncation_flags_incomplete():
     g2 = PermGroup(4, g.generators)  # fresh instance, no cached search
     aset = aut_group_search(g2, budget=3)
     assert not aset.complete
+
+
+def test_aut_closure_cap_refuses_before_building_the_group():
+    # Aut(Z_7^3) = GL(3, 7) has 33,784,128 elements, each a map of 343
+    # entries; the search stops as soon as its closure would pass the cap
+    cycles = ["(" + " ".join(str(7 * i + j) for j in range(1, 8)) + ")"
+              for i in range(3)]
+    g = PermGroup(21, [parse_cycles(c, degree=21) for c in cycles])
+    with pytest.raises(BudgetExhausted) as info:
+        aut_group_search(g)
+    assert str(info.value) == (
+        f"automorphism closure cap {DEFAULT_AUT_CLOSURE_CAP} entries reached "
+        "after 690 nodes with 29106 maps held")
+    assert g._aut is None
 
 
 def table_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
