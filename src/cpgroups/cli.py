@@ -195,10 +195,10 @@ def cmd_aut(args):
     aset = perm_mod.aut_group_search(group, args.budget)
     payload = _group_payload(args.group, group)
     payload.update({
-        "aut_order": len(aset.maps),
+        "aut_order": aset.order(),
         "inner_order": aset.inner_order(),
         "complete": aset.complete,
-        "all_inner": len(aset.maps) == aset.inner_order() if aset.complete else None,
+        "all_inner": aset.order() == aset.inner_order() if aset.complete else None,
         "nodes_used": aset.nodes_used,
     })
     return payload, 0 if aset.complete else 3

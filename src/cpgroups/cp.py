@@ -278,7 +278,7 @@ def _complete_aut_search(group, aut_budget):
     if not aset.complete:
         raise BudgetExhausted(
             f"automorphism search budget {aut_budget} exhausted after "
-            f"{aset.nodes_used} nodes with {len(aset.maps)} maps found; "
+            f"{aset.nodes_used} nodes with {aset.order()} maps found; "
             "no sound verdict")
     return aset
 
@@ -301,7 +301,7 @@ def cp_group_verdict(group, p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
 
     aset = _complete_aut_search(group, aut_budget)
     cert["center_order"] = center(group).order()
-    cert["aut_order"] = len(aset.maps)
+    cert["aut_order"] = aset.order()
     cert["inner_order"] = aset.inner_order()
     if cert["center_order"] == 1 and cert["aut_order"] == cert["inner_order"]:
         return CpVerdict(NOT_CP_GROUP, COMPLETE_CRITERION, cert)
@@ -391,7 +391,7 @@ def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     s6 = symmetric_group(6)
     aset = _complete_aut_search(s6, aut_budget)
     aut_perm = aset.as_perm_group()
-    aut_order = len(aset.maps)
+    aut_order = aset.order()
     inner_order = aset.inner_order()
 
     cp_aut = cp_subgroup(aut_perm, p)
@@ -404,7 +404,8 @@ def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     inner_group = PermGroup(aut_perm.degree, inner_gens, degree_cap=None)
     inner_contained = all(m in cp_aut for m in inner_gens)
 
-    outer10 = any(m not in inner_group and m.order() == 10 for m in aset.maps)
+    # the maps are formed one at a time, and the scan stops at its first hit
+    outer10 = any(m.order() == 10 and m not in inner_group for m in aset.maps)
 
     aut_over_inner = aut_order // inner_order
     aut_over_cp = aut_order // cp_aut.order()

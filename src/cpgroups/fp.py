@@ -48,7 +48,9 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 def _reduce(syllables):
     stack = []
     for s in syllables:
-        g, e = s[0], int(s[1])
+        g, e = s[0], s[1]
+        if type(e) is not int:  # refuses bool too; nothing is truncated
+            raise ValueError(f"exponent {e!r} is not an integer")
         if e == 0:
             continue
         if stack and stack[-1][0] == g:
@@ -57,8 +59,7 @@ def _reduce(syllables):
             if merged:
                 stack.append((g, merged))
         else:
-            # int() returns an int exponent itself; then the syllable is shared
-            stack.append(s if e is s[1] else (g, e))
+            stack.append(s)  # an unmerged syllable is shared, not copied
     return tuple(stack)
 
 

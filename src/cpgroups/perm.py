@@ -28,32 +28,35 @@ multiplication columns and tree the automorphism search reads), the
 action of G on the cosets of a normal N (the images of G/N are its rows),
 and the coset tables of the fp module.
 
-The automorphism search backtracks over generator images, pruning by the
-(element order, centralizer order) fingerprint, with centralizer orders
-read off conjugacy class sizes. It never builds the |G| x |G| table: right
-multiplication by an element is a column built along the walk's tree, only
-for the candidate images and their ancestors. It certifies its output:
-every reported map is either verified against every edge of the Cayley
-graph or a product of verified maps; products are enumerated into a cache
-keyed by the images of the generators (an automorphism is determined by
-them), and a complete search must have found exactly the cached keys, which
-certifies that the set is closed under composition. It also contains all
-inner automorphisms.
+The automorphism search is a base-image backtrack. An automorphism is
+determined by its images of the kept generators, so their positions are a
+base for Aut(G) acting on G, and the search builds a stabilizer chain on
+that base level by level, from the last generator to the first; |Aut| is
+the product of the basic orbit lengths, and no product of maps is stored.
+Candidates are pruned by the (element order, centralizer order)
+fingerprint, with centralizer orders read off conjugacy class sizes, and
+by the fingerprints of generator products, read off the element products.
+It never builds the |G| x |G| table: right multiplication by an element is
+a column built along the walk's tree, only for the images being verified
+and their ancestors. Every strong generator is verified against every edge
+of the Cayley graph, and a complete result must contain all inner
+automorphisms. The result lists its maps lazily from the chain, and its
+permutation group receives the chain, so building it runs no Schreier-Sims.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from functools import lru_cache
 from math import lcm
 
-from .errors import BudgetExhausted, CapExceeded
+from .errors import CapExceeded
 
 DEFAULT_DEGREE_CAP = 64
 DEFAULT_INDEX_CAP = 10_000
 DEFAULT_AUT_ORDER_CAP = 1000
 DEFAULT_AUT_NODE_BUDGET = 1_000_000
-DEFAULT_AUT_CLOSURE_CAP = 10_000_000
 
 
 class Perm:
@@ -267,6 +270,12 @@ class _StabilizerChain:
     never changes once set, so a Schreier generator that sifted to the
     identity stays in the group of the deeper levels, and every check
     resumes from the counters.
+
+    The automorphism search builds a chain on base points it chooses,
+    each a level whose orbit is the point alone until a generator placed
+    there moves it, and places its generators without Schreier checks,
+    because its exhaustive search shows that they are a strong generating
+    set. Such a level may keep a one-point orbit.
     """
 
     def __init__(self, degree, generators=()):
@@ -331,17 +340,19 @@ class _StabilizerChain:
         while level < len(base) and g[base[level]] == base[level]:
             level += 1
         if level == len(base):
-            b = next(p for p in range(self.degree) if g[p] != p)
-            base.append(b)
-            self.transversals.append({b: self._identity})
-            self._gens.append([])
-            self._checked.append([0])
+            self._new_level(next(p for p in range(self.degree) if g[p] != p))
         self.strong.append(Perm._raw(g))
         pair = (g, _invert(g))
         for k in range(level + 1):
             self._gens[k].append(pair)
             self._grow_orbit(k, pair)
         return level
+
+    def _new_level(self, b):
+        self.base.append(b)
+        self.transversals.append({b: self._identity})
+        self._gens.append([])
+        self._checked.append([0])
 
     def _grow_orbit(self, k, pair):
         # the old orbit is closed under the old generators, so only the new
@@ -670,31 +681,84 @@ def direct_product(g, h):
     return PermGroup(dg + dh, gens, degree_cap=cap)
 
 
+class _ChainElements(Sequence):
+    """The elements of a stabilizer chain's group, as a read-only sequence.
+
+    Its length is the chain's order and membership is a sift, so neither
+    lists anything. An element is formed only when it is read: the one at
+    index i is v_0 * v_1 * ... (v_0 applied first), where v_j is the stored
+    inverse representative of the orbit point at level j picked by the
+    j-th mixed-radix digit of i, the last level varying fastest. Each
+    element of the group is the inverse of exactly one product of
+    representatives u_last ... u_1 u_0, so each appears once.
+    """
+
+    def __init__(self, chain):
+        self._chain = chain
+
+    def __len__(self):
+        return self._chain.order()
+
+    def __contains__(self, g):
+        return (isinstance(g, Perm) and g.degree == self._chain.degree
+                and self._chain.contains(g))
+
+    def __getitem__(self, i):
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("automorphism index out of range")
+        i %= n
+        transversals = self._chain.transversals
+        digits = []
+        for tr in reversed(transversals):
+            i, d = divmod(i, len(tr))
+            digits.append(d)
+        z = self._chain._identity
+        for tr, d in zip(transversals, reversed(digits)):
+            v = list(tr.values())[d]
+            z = tuple([v[x] for x in z])
+        return Perm._raw(z)
+
+    def __iter__(self):
+        levels = [tuple(tr.values()) for tr in self._chain.transversals]
+
+        def walk(z, j):
+            if j == len(levels):
+                yield Perm._raw(z)
+                return
+            for v in levels[j]:
+                yield from walk(tuple([v[x] for x in z]), j + 1)
+
+        return walk(self._chain._identity, 0)
+
+
 class AutomorphismSet:
     """Result of an automorphism group search.
 
-    `maps` are the automorphisms found, each a permutation of element
-    indices: the automorphism sends elements[i] to elements[m(i)]. Each map
-    is either verified against the multiplication action of the group or a
-    product of verified maps. When `complete` is true the set is the whole
-    automorphism group and has been certified: the search found exactly
-    the group that the verified maps generate, so the set is closed under
-    composition, and it contains all inner automorphisms. When the node
-    budget ran out, `complete` is false and `maps` holds only the
-    automorphisms found so far.
+    The automorphisms act on element indices: one sends elements[i] to
+    elements[m(i)]. `chain` is the stabilizer chain the search built for
+    the group it found: its base is the positions of the kept generators,
+    and its strong generators are automorphisms verified against the
+    multiplication action of the group. `maps` lists that group as a
+    read-only sequence: len(maps) is order(), read off the chain, and a map
+    is formed only when it is read. When `complete` is true the group is
+    the whole automorphism group: the search was exhaustive and the group
+    contains all inner automorphisms. When the node budget ran out,
+    `complete` is false and the group is the part found so far.
     """
 
-    def __init__(self, base_group, maps, complete, elements, index, nodes_used):
+    def __init__(self, base_group, chain, complete, elements, index, nodes_used):
         self.base_group = base_group
-        self.maps = tuple(maps)
+        self.chain = chain
+        self.maps = _ChainElements(chain)
         self.complete = complete
         self.elements = tuple(elements)
         self.nodes_used = nodes_used
         self._index = index
-        # maps that generate `maps`; the search narrows this to the ones it
-        # verified
-        self._generators = self.maps
         self._perm_group = None
+
+    def order(self):
+        return self.chain.order()
 
     def inner_order(self):
         return self.base_group.order() // center(self.base_group).order()
@@ -711,32 +775,32 @@ class AutomorphismSet:
     def as_perm_group(self):
         """The automorphism group acting on the element set of the base group.
 
-        Built on first use from the generating maps (the verified ones, for
-        a search result); its order re-checks that `maps` is closed under
-        composition.
+        It holds the search's chain, so nothing is sifted to build it.
         """
         if self._perm_group is None:
             ambient = PermGroup(len(self.elements), (), degree_cap=None)
-            grp = _reduce_generators(ambient, self._generators)
-            if self.complete and grp.order() != len(self.maps):
-                raise RuntimeError("automorphism set is not closed under composition")
-            self._perm_group = grp
+            self._perm_group = ambient._make_subgroup(self.chain.strong, self.chain)
         return self._perm_group
 
 
 def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
-    """Search for the full automorphism group by backtracking over images.
+    """Search for the full automorphism group by a base-image backtrack.
 
-    Candidate images are pruned by the (element order, centralizer order)
-    fingerprint and by fingerprints of generator products. A surviving
-    assignment is looked up by its generator images in the cache of
-    products of the maps verified so far; if absent, it is extended to the
-    whole group and verified against every edge of the Cayley graph, and a
-    new automorphism extends the cache. Nothing unverified is ever
-    reported, and a complete search must have found exactly the cached
-    keys. If the node budget runs out, the partial set is returned flagged
-    incomplete. A closure that would store more than DEFAULT_AUT_CLOSURE_CAP
-    entries (maps x |G|) raises BudgetExhausted instead.
+    An automorphism that fixes the kept generators is trivial, so their
+    positions are a base for Aut(G) acting on G. The search builds a
+    stabilizer chain on that base from the last level up. Level i holds
+    the automorphisms that fix the first i generators: a candidate image
+    of generator i that lies outside the basic orbit found so far is
+    searched depth first for one verified extension to the later
+    generators. An extension found is a strong generator and grows the
+    orbit; an exhausted subtree means that no automorphism sends generator
+    i there. |Aut| is the product of the basic orbit lengths, and no
+    product of maps is ever stored. Candidate images are pruned by the
+    (element order, centralizer order) fingerprint and by the fingerprints
+    of generator products, and every strong generator is verified against
+    every edge of the Cayley graph. If the node budget runs out, the group
+    found so far is returned flagged incomplete, after exactly `budget`
+    nodes.
     """
     if group._aut is not None:
         return group._aut
@@ -759,7 +823,8 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     right = list(zip(*rows))  # right[k][x] = position of elements[x] * g_k
 
     # cols[j][x] = position of x * elements[j]; x * j = (x * a) * g_k for
-    # the tree entry (a, k) of j, so a column follows from a's along the tree
+    # the tree entry (a, k) of j, so a column follows from a's along the
+    # tree. Only the images being verified, and their ancestors, get one.
     cols = {0: range(n)}
 
     def col(j):
@@ -818,87 +883,60 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             return None
         return tuple(phi)
 
-    # an automorphism is determined by its images of the kept generators;
-    # closure maps each key to its map, for the group generated by the
-    # verified maps. The walk reaches each generator from the identity by a
-    # tree edge, so a map that verify returns for a leaf has the leaf as key.
-    def key(images):
-        return tuple(images[g] for g in gidx)
-
-    closure = {tuple(gidx): tuple(range(n))}
-    verified = []
-
-    def adjoin(g):
-        # Dimino: the new group is a union of right cosets H r of the old
-        # one, found by a walk over right multiplication by the generators
-        verified.append(g)
-        old = list(closure.values())
-        reps = []
-
-        def add_coset(r):
-            if (len(closure) + len(old)) * n > DEFAULT_AUT_CLOSURE_CAP:
-                raise BudgetExhausted(
-                    f"automorphism closure cap {DEFAULT_AUT_CLOSURE_CAP} entries "
-                    f"reached after {nodes} nodes with {len(closure)} maps held")
-            reps.append(r)
-            for h in old:
-                hr = tuple([r[x] for x in h])  # h, then r
-                closure[key(hr)] = hr
-
-        add_coset(g)
-        for r in reps:  # the list grows while it is walked
-            for s in verified:
-                if tuple(s[r[gi]] for gi in gidx) not in closure:  # key(r, then s)
-                    add_coset(tuple([s[x] for x in r]))
-
-    found = []
+    chain = _StabilizerChain(n)
+    for b in gidx:
+        chain._new_level(b)
     nodes = 0
     truncated = False
 
-    def search(img):
+    def visit():
+        # one search node: every candidate image looked at is one
         nonlocal nodes, truncated
-        k = len(img)
-        for c in candidates[k]:
-            if truncated:
-                return
-            nodes += 1
-            if nodes > budget:
-                truncated = True
-                return
-            ok = True
-            for l, target in enumerate(targets[k]):
-                if fingerprint[col(c)[img[l]]] != target:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if k + 1 == m:
-                leaf = img + [c]
-                phi = closure.get(tuple(leaf))
-                if phi is None:
-                    phi = verify(leaf)
-                    if phi is not None:
-                        adjoin(phi)
+        if nodes == budget:
+            truncated = True
+            return False
+        nodes += 1
+        return True
+
+    def fits(img, c):
+        # c as the image after img, against the fingerprints of the
+        # products with img, read off the elements (no column is built)
+        x = elems[c]
+        return all(fingerprint[index[elems[a] * x]] == t
+                   for a, t in zip(img, targets[len(img)]))
+
+    def extension(img):
+        # depth first: one verified automorphism with these first images
+        if len(img) == m:
+            return verify(img)
+        for c in candidates[len(img)]:
+            if not visit():
+                return None
+            if fits(img, c):
+                phi = extension(img + [c])
                 if phi is not None:
-                    found.append(Perm._raw(phi))
-            else:
-                search(img + [c])
+                    return phi
+        return None
 
-    if m == 0:
-        found.append(Perm.identity(n))
-    else:
-        search([])
+    # The walk reaches each generator from the identity by a tree edge, so
+    # a verified map sends g_l to img[l]: one found at level i fixes the
+    # first i generators and moves g_i out of its orbit so far.
+    for i in reversed(range(m)):
+        prefix = gidx[:i]
+        orbit = chain.transversals[i]  # grows as generators are placed
+        for c in candidates[i]:
+            if not visit():
+                break
+            if c in orbit or not fits(prefix, c):
+                continue
+            phi = extension(prefix + [c])
+            if phi is not None:
+                chain._place(phi, i)
 
-    result = AutomorphismSet(group, found, not truncated, elems, index, nodes)
-    result._generators = [Perm._raw(g) for g in verified]
+    result = AutomorphismSet(group, chain, not truncated, elems, index, nodes)
     if result.complete:
-        # found lies inside the closure and has distinct keys, so equal
-        # counts mean found is the whole closure, a group
-        if len(found) != len(closure):
-            raise RuntimeError("automorphism set is not closed under composition")
         for g in group.generators:
-            inner = result.conjugation_map(g).images
-            if closure.get(key(inner)) != inner:
+            if not chain.contains(result.conjugation_map(g)):
                 raise RuntimeError("search missed an inner automorphism")
         group._aut = result
     return result

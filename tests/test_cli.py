@@ -216,11 +216,11 @@ def test_aut_budget_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verdict", "--group", "S5", "--p", "2", "--budget", "50"],
-     "automorphism search budget 50 exhausted after 51 nodes with 24 maps "
+    (["verdict", "--group", "S5", "--p", "2", "--budget", "20"],
+     "automorphism search budget 20 exhausted after 20 nodes with 12 maps "
      "found; no sound verdict"),
-    (["s6", "--p", "2", "--budget", "500"],
-     "automorphism search budget 500 exhausted after 501 nodes with 96 maps "
+    (["s6", "--p", "2", "--budget", "100"],
+     "automorphism search budget 100 exhausted after 100 nodes with 48 maps "
      "found; no sound verdict"),
 ], ids=["verdict", "s6"])
 def test_aut_budget_message_reports_progress(capsys, argv, message):

@@ -84,6 +84,17 @@ def test_word_algebra():
     assert inverted.syllables == ((0, -2), (1, 1))
 
 
+def test_word_refuses_non_integer_exponents():
+    # refused, not truncated: Word(((0, 2.5),)) once became x0^2, and a
+    # fractional exponent below one the empty word
+    for e in (2.5, 0.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Word(((1, 1), (0, e)))
+    # an unmerged syllable is stored as given, not copied
+    s = (0, 12345)
+    assert Word(((1, 1), s)).syllables[1] is s
+
+
 def test_todd_coxeter_cyclic():
     assert todd_coxeter(parse_presentation("< a | a^5 >")).index == 5
 

@@ -5,9 +5,8 @@ from math import gcd
 import pytest
 
 from cpgroups.errors import BudgetExhausted, CapExceeded
-from cpgroups.perm import (DEFAULT_AUT_CLOSURE_CAP, DEFAULT_AUT_NODE_BUDGET,
-                           DEFAULT_AUT_ORDER_CAP,
-                           AutomorphismSet, Perm, PermGroup, _first_appearance,
+from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
+                           Perm, PermGroup, _conjugator, _first_appearance,
                            _reduce_generators, _StabilizerChain,
                            alternating_group, aut_group_search, center,
                            centralizer, commutator,
@@ -323,9 +322,11 @@ AUT_NODES = {
     "Z1": 0, "Z2": 1, "Z3": 2, "Z4": 2, "Z5": 4, "Z6": 2, "Z7": 6, "Z8": 4,
     "Z9": 6, "Z10": 4, "Z11": 10, "Z12": 4, "Z13": 12, "Z14": 6, "Z15": 8,
     "Z16": 8, "Z17": 16, "Z18": 6, "Z19": 18, "Z20": 8, "Z21": 12, "Z22": 10,
-    "Z23": 22, "Z24": 8, "D3": 8, "D4": 10, "D5": 24, "D6": 14, "D7": 48,
-    "D8": 36, "D9": 60, "D10": 44, "D11": 120, "D12": 52, "A4": 72, "A5": 500,
-    "S5": 250, "S6": 7230, "A6": 11600, "S4xZ7": 1332, "S3xZ25": 2460,
+    "Z23": 22, "Z24": 8, "D3": 6, "D4": 7, "D5": 10, "D6": 9, "D7": 15,
+    "D8": 14, "D9": 16, "D10": 15, "D11": 22, "D12": 18, "A4": 17, "A5": 47,
+    "S5": 35, "S6": 324, "A6": 228, "S4xZ7": 82, "S3xZ25": 102,
+    # three kept generators, so the product prune shows in nodes
+    "S4xZ2": 32, "A4xZ2": 20,
 }
 
 
@@ -339,10 +340,13 @@ def test_aut_orders_match_closed_forms():
                 ("S5", symmetric_group(5), 120), ("S6", symmetric_group(6), 1440),
                 ("A6", alternating_group(6), 1440),
                 ("S4xZ7", coprime_product(symmetric_group(4), 7), 144),
-                ("S3xZ25", coprime_product(symmetric_group(3), 25), 120)])
+                ("S3xZ25", coprime_product(symmetric_group(3), 25), 120),
+                # |Aut(H x Z_2)| = |Aut(H)| |Hom(H, Z_2)| for centerless H
+                ("S4xZ2", direct_product(symmetric_group(4), cyclic_group(2)), 48),
+                ("A4xZ2", direct_product(alternating_group(4), cyclic_group(2)), 24)])
     for name, group, order in cases:
         aset = aut_group_search(group)
-        assert aset.complete and len(aset.maps) == order, name
+        assert aset.complete and aset.order() == len(aset.maps) == order, name
         assert aset.nodes_used == AUT_NODES[name], name
 
 
@@ -351,20 +355,292 @@ def test_aut_budget_truncation_flags_incomplete():
     g2 = PermGroup(4, g.generators)  # fresh instance, no cached search
     aset = aut_group_search(g2, budget=3)
     assert not aset.complete
+    # exactly the budget is spent; the maps are the group found so far
+    assert aset.nodes_used == 3
+    assert aset.order() == len(aset.maps) == aset.as_perm_group().order()
+    assert g2._aut is None
 
 
-def test_aut_closure_cap_refuses_before_building_the_group():
-    # Aut(Z_7^3) = GL(3, 7) has 33,784,128 elements, each a map of 343
-    # entries; the search stops as soon as its closure would pass the cap
-    cycles = ["(" + " ".join(str(7 * i + j) for j in range(1, 8)) + ")"
+def elementary_abelian_cube(p):
+    """Z_p^3 as three disjoint p-cycles."""
+    cycles = ["(" + " ".join(str(p * i + j) for j in range(1, p + 1)) + ")"
               for i in range(3)]
-    g = PermGroup(21, [parse_cycles(c, degree=21) for c in cycles])
-    with pytest.raises(BudgetExhausted) as info:
-        aut_group_search(g)
-    assert str(info.value) == (
-        f"automorphism closure cap {DEFAULT_AUT_CLOSURE_CAP} entries reached "
-        "after 690 nodes with 29106 maps held")
-    assert g._aut is None
+    return PermGroup(3 * p, [parse_cycles(c, degree=3 * p) for c in cycles])
+
+
+def test_aut_of_elementary_abelian_cubes_completes_in_small_memory(monkeypatch):
+    # Aut(Z_p^3) = GL(3, p), of order (p^3 - 1)(p^3 - p)(p^3 - p^2): a chain
+    # of a few strong generators, where a closure would hold every map
+    for p, order in ((5, 1_488_000), (7, 33_784_128)):
+        assert order == (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
+        g = elementary_abelian_cube(p)
+        tracemalloc.start()
+        try:
+            aset = aut_group_search(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20, (p, peak)
+        assert aset.complete and aset.order() == order, p
+        with monkeypatch.context() as patch:
+            def enumerated(*args):
+                raise AssertionError("len(maps) listed the maps")
+            patch.setattr(type(aset.maps), "__iter__", enumerated)
+            patch.setattr(type(aset.maps), "__getitem__", enumerated)
+            assert len(aset.maps) == order
+        assert aset.as_perm_group().order() == order
+        # maps read by index, far into the group, are automorphisms
+        x, y = g.generators[:2]
+        for i in (1, order // 3, order - 1, -1):
+            m = aset.maps[i]
+            assert m in aset.maps
+            assert aset.apply(m, x * y) == aset.apply(m, x) * aset.apply(m, y)
+        with pytest.raises(IndexError):
+            aset.maps[order]
+
+
+class ListAutomorphismSet:
+    """The result type of the searches below: the AutomorphismSet that held
+    every map as a tuple, before the search returned a stabilizer chain.
+    Kept, renamed, as the container of the reference searches.
+
+    `maps` are the automorphisms found, each a permutation of element
+    indices: the automorphism sends elements[i] to elements[m(i)]. Each map
+    is either verified against the multiplication action of the group or a
+    product of verified maps. When `complete` is true the set is the whole
+    automorphism group and has been certified: the search found exactly
+    the group that the verified maps generate, so the set is closed under
+    composition, and it contains all inner automorphisms. When the node
+    budget ran out, `complete` is false and `maps` holds only the
+    automorphisms found so far.
+    """
+
+    def __init__(self, base_group, maps, complete, elements, index, nodes_used):
+        self.base_group = base_group
+        self.maps = tuple(maps)
+        self.complete = complete
+        self.elements = tuple(elements)
+        self.nodes_used = nodes_used
+        self._index = index
+        # maps that generate `maps`; the search narrows this to the ones it
+        # verified
+        self._generators = self.maps
+        self._perm_group = None
+
+    def inner_order(self):
+        return self.base_group.order() // center(self.base_group).order()
+
+    def apply(self, automorphism, x):
+        """Image of an arbitrary group element under one of the maps."""
+        return self.elements[automorphism.images[self._index[x]]]
+
+    def conjugation_map(self, g):
+        """The inner automorphism x -> g x g^-1 as an element permutation."""
+        conjugate = _conjugator(g)
+        return Perm._raw(tuple(self._index[conjugate(x)] for x in self.elements))
+
+    def as_perm_group(self):
+        """The automorphism group acting on the element set of the base group.
+
+        Built on first use from the generating maps (the verified ones, for
+        a search result); its order re-checks that `maps` is closed under
+        composition.
+        """
+        if self._perm_group is None:
+            ambient = PermGroup(len(self.elements), (), degree_cap=None)
+            grp = _reduce_generators(ambient, self._generators)
+            if self.complete and grp.order() != len(self.maps):
+                raise RuntimeError("automorphism set is not closed under composition")
+            self._perm_group = grp
+        return self._perm_group
+
+
+
+
+# the cap on stored closure entries (maps x |G|) that closure_aut_search kept
+CLOSURE_CAP = 10_000_000
+
+
+def closure_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
+    """The closure search that the base-image backtrack of aut_group_search
+    replaced, kept as its reference. Unlike the library search it neither
+    reads nor fills the group's cached result.
+
+    Search for the full automorphism group by backtracking over images.
+
+    Candidate images are pruned by the (element order, centralizer order)
+    fingerprint and by fingerprints of generator products. A surviving
+    assignment is looked up by its generator images in the cache of
+    products of the maps verified so far; if absent, it is extended to the
+    whole group and verified against every edge of the Cayley graph, and a
+    new automorphism extends the cache. Nothing unverified is ever
+    reported, and a complete search must have found exactly the cached
+    keys. If the node budget runs out, the partial set is returned flagged
+    incomplete. A closure that would store more than CLOSURE_CAP
+    entries (maps x |G|) raises BudgetExhausted instead.
+    """
+    n = group.order()
+    if n > DEFAULT_AUT_ORDER_CAP:
+        raise CapExceeded(
+            f"group order {n} exceeds automorphism search cap {DEFAULT_AUT_ORDER_CAP}")
+
+    kept = _reduce_generators(group, group.generators).generators
+    if len(kept) > 3:
+        raise CapExceeded(
+            f"{len(kept)} independent generators; the search requires at most 3")
+
+    elems, index, rows, tree = _first_appearance(
+        Perm.identity(group.degree), len(kept), lambda x, k: x * kept[k])
+    if len(elems) != n:
+        raise RuntimeError("element enumeration disagrees with the group order")
+    gidx = [index[g] for g in kept]
+    m = len(gidx)
+    right = list(zip(*rows))  # right[k][x] = position of elements[x] * g_k
+
+    # cols[j][x] = position of x * elements[j]; x * j = (x * a) * g_k for
+    # the tree entry (a, k) of j, so a column follows from a's along the tree
+    cols = {0: range(n)}
+
+    def col(j):
+        path = []
+        while j not in cols:
+            path.append(j)
+            j = tree[j][0]
+        c = cols[j]
+        for j in reversed(path):
+            r = right[tree[j][1]]
+            c = cols[j] = [r[x] for x in c]
+        return c
+
+    # |C(x)| = |G| / |x^G|; the classes are the orbits of conjugation by the
+    # kept generators
+    conjugators = [_conjugator(g) for g in kept]
+    cent = [0] * n
+    for i in range(n):
+        if cent[i]:
+            continue
+        orbit = [i]
+        cent[i] = -1
+        for x in orbit:  # the list grows while it is walked
+            for conjugate in conjugators:
+                y = index[conjugate(elems[x])]
+                if not cent[y]:
+                    cent[y] = -1
+                    orbit.append(y)
+        for x in orbit:
+            cent[x] = n // len(orbit)
+    fingerprint = list(zip([x.order() for x in elems], cent))
+
+    candidates = [[i for i in range(n) if fingerprint[i] == fingerprint[gi]]
+                  for gi in gidx]
+    # targets[k][l]: fingerprint of g_l g_k. It is also that of g_k g_l, a
+    # conjugate, so one order of each product is checked.
+    targets = [[fingerprint[rows[gidx[l]][k]] for l in range(k)] for k in range(m)]
+
+    # the walk's edges x -> x * g_k in walk order, flagging the tree edge
+    # that first reaches each element
+    edges = [(x, k, y, tree[y] == (x, k))
+             for x, row in enumerate(rows) for k, y in enumerate(row)]
+
+    def verify(img):
+        # phi(x g_k) = phi(x) img_k: tree edges define phi, and every other
+        # edge is checked as soon as the walk reaches it
+        img_cols = [col(c) for c in img]
+        phi = [0] * n
+        for x, k, y, tree in edges:
+            v = img_cols[k][phi[x]]
+            if tree:
+                phi[y] = v
+            elif phi[y] != v:
+                return None
+        if len(set(phi)) != n:
+            return None
+        return tuple(phi)
+
+    # an automorphism is determined by its images of the kept generators;
+    # closure maps each key to its map, for the group generated by the
+    # verified maps. The walk reaches each generator from the identity by a
+    # tree edge, so a map that verify returns for a leaf has the leaf as key.
+    def key(images):
+        return tuple(images[g] for g in gidx)
+
+    closure = {tuple(gidx): tuple(range(n))}
+    verified = []
+
+    def adjoin(g):
+        # Dimino: the new group is a union of right cosets H r of the old
+        # one, found by a walk over right multiplication by the generators
+        verified.append(g)
+        old = list(closure.values())
+        reps = []
+
+        def add_coset(r):
+            if (len(closure) + len(old)) * n > CLOSURE_CAP:
+                raise BudgetExhausted(
+                    f"automorphism closure cap {CLOSURE_CAP} entries "
+                    f"reached after {nodes} nodes with {len(closure)} maps held")
+            reps.append(r)
+            for h in old:
+                hr = tuple([r[x] for x in h])  # h, then r
+                closure[key(hr)] = hr
+
+        add_coset(g)
+        for r in reps:  # the list grows while it is walked
+            for s in verified:
+                if tuple(s[r[gi]] for gi in gidx) not in closure:  # key(r, then s)
+                    add_coset(tuple([s[x] for x in r]))
+
+    found = []
+    nodes = 0
+    truncated = False
+
+    def search(img):
+        nonlocal nodes, truncated
+        k = len(img)
+        for c in candidates[k]:
+            if truncated:
+                return
+            nodes += 1
+            if nodes > budget:
+                truncated = True
+                return
+            ok = True
+            for l, target in enumerate(targets[k]):
+                if fingerprint[col(c)[img[l]]] != target:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            if k + 1 == m:
+                leaf = img + [c]
+                phi = closure.get(tuple(leaf))
+                if phi is None:
+                    phi = verify(leaf)
+                    if phi is not None:
+                        adjoin(phi)
+                if phi is not None:
+                    found.append(Perm._raw(phi))
+            else:
+                search(img + [c])
+
+    if m == 0:
+        found.append(Perm.identity(n))
+    else:
+        search([])
+
+    result = ListAutomorphismSet(group, found, not truncated, elems, index, nodes)
+    result._generators = [Perm._raw(g) for g in verified]
+    if result.complete:
+        # found lies inside the closure and has distinct keys, so equal
+        # counts mean found is the whole closure, a group
+        if len(found) != len(closure):
+            raise RuntimeError("automorphism set is not closed under composition")
+        for g in group.generators:
+            inner = result.conjugation_map(g).images
+            if closure.get(key(inner)) != inner:
+                raise RuntimeError("search missed an inner automorphism")
+    return result
+
 
 
 def table_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
@@ -460,7 +736,7 @@ def table_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
     else:
         search([])
 
-    result = AutomorphismSet(group, found, not truncated, elems, index, nodes)
+    result = ListAutomorphismSet(group, found, not truncated, elems, index, nodes)
     if result.complete:
         maps = set(found)
         for g in group.generators:
@@ -472,7 +748,8 @@ def table_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
 
 def aut_reference_corpus():
     """(name, group, budget) triples on which the search must match
-    table_aut_search, each group a fresh instance with no cached search."""
+    closure_aut_search and table_aut_search, each group a fresh instance
+    with no cached search."""
     named = ([(f"Z{n}", cyclic_group(n)) for n in range(1, 25)]
              + [(f"D{n}", dihedral_group(n)) for n in range(3, 13)]
              + [(f"A{n}", alternating_group(n)) for n in range(4, 7)]
@@ -484,24 +761,37 @@ def aut_reference_corpus():
                 ("A4xZ2", direct_product(alternating_group(4), cyclic_group(2)))]
              + [(f"small{i}", g) for i, g in enumerate(small_groups())])
     cases = [(name, g, DEFAULT_AUT_NODE_BUDGET) for name, g in named]
-    cases += [("S6", symmetric_group(6), budget) for budget in (50, 500, 3000)]
+    cases += [("S6", symmetric_group(6), budget) for budget in (50, 200, 323, 324)]
     return [(name, PermGroup(g.degree, g.generators), budget)
             for name, g, budget in cases]
 
 
 def test_aut_search_matches_table_reference():
+    references = {}
     for name, group, budget in aut_reference_corpus():
         fast = aut_group_search(group, budget)
-        slow = table_aut_search(group, budget)
-        assert fast.maps == slow.maps, (name, budget)
-        assert fast.nodes_used == slow.nodes_used, (name, budget)
-        assert fast.complete == slow.complete, (name, budget)
+        maps = list(fast.maps)
+        assert len(set(maps)) == len(maps) == len(fast.maps) == fast.order(), name
+        # reading by index, negative ones too, agrees with iterating
+        for i in range(-len(maps), len(maps), 1 + len(maps) // 50):
+            assert fast.maps[i] == maps[i], (name, i)
+        assert fast.as_perm_group().order() == fast.order(), name
+        assert fast.chain.base == [fast._index[g] for g in
+                                   _reduce_generators(group, group.generators).generators]
+        if name not in references:
+            fresh = PermGroup(group.degree, group.generators)
+            closure = closure_aut_search(fresh)
+            table = table_aut_search(fresh)
+            assert closure.complete and table.complete, name
+            assert set(closure.maps) == set(table.maps), name
+            references[name] = set(table.maps)
         if fast.complete:
-            # the cache holds every product of the maps verified so far, so
-            # no verified map is a product of earlier ones
-            perm_group = fast.as_perm_group()
-            assert len(perm_group.generators) == len(fast._generators), name
-            assert perm_group.order() == len(fast.maps), name
+            assert set(maps) == references[name], (name, budget)
+        else:
+            # the group found so far, after exactly the budget (at 323 of
+            # S_6's 324 nodes it is already the whole group, unproven)
+            assert fast.nodes_used == budget, (name, budget)
+            assert set(maps) <= references[name], (name, budget)
 
 
 def test_commutator():
