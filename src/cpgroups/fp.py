@@ -86,14 +86,6 @@ class Word:
             out = out * self
         return out
 
-    def letters(self):
-        """The word as a flat list of (generator, +1 or -1) steps."""
-        out = []
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            out.extend((g, step) for _ in range(abs(e)))
-        return out
-
     def letter_count(self):
         return sum(abs(e) for _, e in self.syllables)
 
@@ -383,7 +375,6 @@ class _Enumerator:
         self.max_cosets = max_cosets
         self.table = [[None] * self.cols]
         self.p = [0]
-        self.total = 1
         # every live row below the cursor is complete (see first_undefined)
         self.cursor = 0
         self.deductions = []
@@ -407,7 +398,7 @@ class _Enumerator:
         return r
 
     def define(self, a, c):
-        if self.total >= self.max_cosets:
+        if len(self.table) >= self.max_cosets:
             live = sum(1 for i, r in enumerate(self.p) if i == r)
             raise BudgetExhausted(
                 f"coset budget {self.max_cosets} exhausted with {live} live "
@@ -415,7 +406,6 @@ class _Enumerator:
         b = len(self.table)
         self.table.append([None] * self.cols)
         self.p.append(b)
-        self.total += 1
         self.table[a][c] = b
         self.table[b][c ^ 1] = a
         self.deductions.append((a, c))
@@ -563,12 +553,17 @@ def todd_coxeter(presentation, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS)
 
 
 def evaluate_word(word, images):
-    """Evaluate a word at permutation images of the generators."""
+    """Evaluate a word at permutation images of the generators.
+
+    The word is walked as its coset table columns (`_columns`), so a word
+    of more than DEFAULT_MAX_COSETS letters raises CapExceeded.
+    """
     if not images:
         raise ValueError("no images to evaluate at")
+    steps = [x for g in images for x in (g, g.inverse())]
     out = Perm.identity(images[0].degree)
-    for g, s in word.letters():
-        out = out * (images[g] if s > 0 else images[g].inverse())
+    for c in _columns(word):
+        out = out * steps[c]
     return out
 
 

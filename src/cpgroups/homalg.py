@@ -4,13 +4,16 @@ Everything here is computed over Python's arbitrary-precision integers;
 nothing ever wraps. The two workhorses are the Smith normal form and the
 canonical invariant-factor form of a finitely generated abelian group.
 
-The Smith form runs in two phases: row Hermite form first (a Euclid pass
-per column, then every entry above the pivot reduced modulo it), then a
-diagonalization with a fixed pivot rule. Reducing above the pivots keeps
-the transforming matrices U and V about as small as D (Kannan & Bachem,
-1979); without it they grow to tens of thousands of bits on a dense 60 x 60
-matrix. A matrix with more rows than columns is worked on as its
-transpose. Every step is deterministic, so U and V are reproducible.
+The Smith form has one elimination routine, the row Hermite form (a
+Euclid pass per column, then every entry above the pivot reduced modulo
+it). The matrix is brought to Hermite form, column passes (the routine on
+the transpose) and row passes alternate until it is diagonal, and
+extended-gcd steps on pairs of diagonal entries make the diagonal a
+divisibility chain. Reducing above the pivots keeps the transforming
+matrices U and V about as small as D (Kannan & Bachem, 1979); without it
+they grow to tens of thousands of bits on a dense 60 x 60 matrix. A matrix
+with more rows than columns is worked on as its transpose. Every step is
+deterministic, so U and V are reproducible.
 `smith_diagonal` runs the same elimination without forming U or V; the
 cokernel (and so every abelianization) is read from it.
 
@@ -102,25 +105,6 @@ class IntMatrix:
         return f"IntMatrix({self})"
 
 
-def _find_pivot(a, t, rows, cols):
-    """Smallest nonzero |entry| in the submatrix i,j >= t; ties by (row, col)."""
-    best = None
-    best_abs = None
-    for i in range(t, rows):
-        row = a[i]
-        for j in range(t, cols):
-            v = row[j]
-            if v == 0:
-                continue
-            av = -v if v < 0 else v
-            if best_abs is None or av < best_abs:
-                best_abs = av
-                best = (i, j)
-                if av == 1:
-                    return best
-    return best
-
-
 def _hermite(a, rows, cols):
     """Bring the first `cols` columns of the rows of `a` to row Hermite form,
     in place, by row operations on whole rows; returns the rank.
@@ -129,7 +113,9 @@ def _hermite(a, rows, cols):
     (reduce by the smallest nonzero entry, rounding to the nearest multiple,
     until one nonzero entry is left), and every entry above the new pivot is
     then reduced modulo it. That last step keeps the entries of the form,
-    and of any transform carried in the trailing columns, small.
+    and of any transform carried in the trailing columns, small. A row
+    operation touches only the nonzero entries of the pivot row, so the
+    leading zeros of the rows and a sparse transform cost nothing.
     """
     t = 0
     for j in range(cols):
@@ -150,103 +136,92 @@ def _hermite(a, rows, cols):
             if a[p][j] < 0:
                 a[p] = [-x for x in a[p]]
             prow = a[p]
+            nz = [k for k, z in enumerate(prow) if z]
             d2 = 2 * prow[j]
             done = True
             for i in range(t, rows):
-                x = a[i][j]
+                row = a[i]
+                x = row[j]
                 if x and i != p:
                     q = (2 * x + prow[j]) // d2
                     if q:
-                        a[i] = [y - q * z for y, z in zip(a[i], prow)]
-                    if a[i][j]:
+                        for k in nz:
+                            row[k] -= q * prow[k]
+                    if row[j]:
                         done = False
             if done:
                 break
         if p is None:
             continue
         a[t], a[p] = a[p], a[t]
-        prow = a[t]
         d = prow[j]
-        for k in range(t):
-            q = a[k][j] // d
+        for row in a[:t]:
+            q = row[j] // d
             if q:
-                a[k] = [y - q * z for y, z in zip(a[k], prow)]
+                for k in nz:
+                    row[k] -= q * prow[k]
         t += 1
     return t
 
 
-def _diagonalize(a, rows, cols, vt):
-    """Diagonalize the leading rows x cols block of `a` in place, with a
-    fixed pivot rule; the block's rows must hold every nonzero entry.
+def _xgcd(x, y):
+    """(g, s, t) with g = gcd(x, y) = s*x + t*y, for x, y > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, x, y = x // y, y, x % y
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return x, s0, t0
 
-    Row operations act on whole rows, so a transform carried in trailing
-    columns follows them. Column operations act on the block and, unless
-    `vt` is None, on the rows of `vt`, the transpose of the column transform.
+
+def _diagonalize(a, rank, cols, vt):
+    """Diagonalize the leading rank x cols block of `a`, in row Hermite
+    form with rank nonzero rows, in place.
+
+    Column passes (`_hermite` on the transposed block, with the rows of
+    `vt`, the transposed column transform unless None, trailing) and row
+    passes (`_hermite` on the rows of `a`, which carry the row transform)
+    alternate until the block is diagonal; after the first column pass it
+    is rank x rank. Then each d_i, d_j (i < j) with d_i not dividing d_j
+    becomes g, d_i d_j / g by an extended-gcd step on rows i, j of both.
     """
 
-    def move_pivot(t):
-        i0, j0 = _find_pivot(a, t, rows, cols)
-        a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            # rows above t are finished and zero in both columns
-            for i in range(t, rows):
-                row = a[i]
-                row[t], row[j0] = row[j0], row[t]
-            if vt is not None:
-                vt[t], vt[j0] = vt[j0], vt[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+    def off_diagonal(width):
+        return any(any(row[:i]) or any(row[i + 1:width])
+                   for i, row in enumerate(a[:rank]))
 
-    for t in range(rows):
-        while True:
-            move_pivot(t)
-            # Clear column t and row t; a nonzero remainder means the pivot
-            # was not the gcd yet, so re-pick (strictly smaller) and retry.
-            while True:
-                dirty = False
-                d = a[t][t]
-                for i in range(t + 1, rows):
-                    if a[i][t] == 0:
-                        continue
-                    q = a[i][t] // d
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t] != 0:
-                        dirty = True
-                d = a[t][t]
-                # column t of V as (index, entry) pairs, since it is mostly zero
-                vcol = vt and [(k, y) for k, y in enumerate(vt[t]) if y]
-                for j in range(t + 1, cols):
-                    if a[t][j] == 0:
-                        continue
-                    q = a[t][j] // d
-                    if q:
-                        for i in range(t, rows):
-                            row = a[i]
-                            if row[t]:
-                                row[j] -= q * row[t]
-                        if vt is not None:
-                            row = vt[j]
-                            for k, y in vcol:
-                                row[k] -= q * y
-                    if a[t][j] != 0:
-                        dirty = True
-                if not dirty:
-                    break
-                move_pivot(t)
-            # Divisibility: the pivot must divide the whole remaining block
-            # (a unit pivot always does).
-            d = a[t][t]
-            viol = None
-            if d != 1:
-                for i in range(t + 1, rows):
-                    row = a[i]
-                    if any(row[j] % d for j in range(t + 1, cols)):
-                        viol = i
-                        break
-            if viol is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[viol])]
+    width = cols
+    while off_diagonal(width):
+        b = [list(col) for col in zip(*(row[:width] for row in a[:rank]))]
+        if vt is not None:
+            for j, row in enumerate(b):
+                row += vt[j]
+        _hermite(b, width, rank)
+        for i in range(rank):
+            a[i][:width] = [row[i] for row in b]
+        if vt is not None:
+            vt[:width] = [row[rank:] for row in b]
+        width = rank
+        if not off_diagonal(width):
+            break
+        _hermite(a, rank, width)
+
+    # [[s, t], [-y/g, x/g]] diag(x, y) [[1, -t y/g], [1, s x/g]] = diag(g, x y/g)
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = a[i][i], a[j][j]
+            if y % x == 0:
+                continue
+            g, s, t = _xgcd(x, y)
+            xg, yg = x // g, y // g
+            ri, rj = a[i], a[j]
+            a[i] = [s * p + t * q for p, q in zip(ri, rj)]
+            a[j] = [xg * q - yg * p for p, q in zip(ri, rj)]
+            a[i][i], a[i][j], a[j][i], a[j][j] = g, 0, 0, x * yg
+            if vt is not None:
+                ci, cj = vt[i], vt[j]
+                vt[i] = [p + q for p, q in zip(ci, cj)]
+                vt[j] = [s * xg * q - t * yg * p for p, q in zip(ci, cj)]
 
 
 def _smith(matrix, transforms):

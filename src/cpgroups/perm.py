@@ -800,9 +800,10 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     of generator products, and every strong generator is verified against
     every edge of the Cayley graph. If the node budget runs out, the group
     found so far is returned flagged incomplete, after exactly `budget`
-    nodes.
+    nodes. The search is deterministic, so a complete result is cached and
+    served to every later call whose budget would have let it finish.
     """
-    if group._aut is not None:
+    if group._aut is not None and budget >= group._aut.nodes_used:
         return group._aut
     n = group.order()
     if n > DEFAULT_AUT_ORDER_CAP:
@@ -869,18 +870,22 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
              for x, row in enumerate(rows) for k, y in enumerate(row)]
 
     def verify(img):
-        # phi(x g_k) = phi(x) img_k: tree edges define phi, and every other
-        # edge is checked as soon as the walk reaches it
+        # phi(x g_k) = phi(x) img_k: tree edges define phi, each value at
+        # most once (phi is injective), and every other edge is checked as
+        # soon as the walk reaches it
         img_cols = [col(c) for c in img]
         phi = [0] * n
+        taken = bytearray(n)
+        taken[0] = 1  # the identity, element 0, is its own image
         for x, k, y, tree in edges:
             v = img_cols[k][phi[x]]
             if tree:
+                if taken[v]:
+                    return None
+                taken[v] = 1
                 phi[y] = v
             elif phi[y] != v:
                 return None
-        if len(set(phi)) != n:
-            return None
         return tuple(phi)
 
     chain = _StabilizerChain(n)

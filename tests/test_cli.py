@@ -215,6 +215,13 @@ def test_aut_budget_exit_code(capsys):
     assert "complete=false" in out
 
 
+def test_aut_budget_is_kept_after_a_complete_search(capsys):
+    assert run_cli(capsys, ["aut", "--group", "S5"])[0] == 0
+    code, out = run_cli(capsys, ["aut", "--group", "S5", "--budget", "20"])
+    assert code == 3
+    assert "complete=false" in out and "nodes_used=20" in out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verdict", "--group", "S5", "--p", "2", "--budget", "20"],
      "automorphism search budget 20 exhausted after 20 nodes with 12 maps "

@@ -6,7 +6,7 @@ import pytest
 
 from cpgroups import cli
 from cpgroups.fp import reidemeister_schreier, todd_coxeter
-from cpgroups.homalg import (AbelianStructure, IntMatrix, TRIVIAL, Z, _find_pivot,
+from cpgroups.homalg import (AbelianStructure, IntMatrix, TRIVIAL, Z, _hermite,
                              cokernel_structure, cyclic, cyclic_homology,
                              five_term_from_multiplication, lhs_e2_table,
                              smith_diagonal, smith_normal_form, tensor_with_zp)
@@ -70,9 +70,142 @@ def test_snf_random_matrices_against_minor_gcd_oracle():
             assert smith_diagonal(m) == diag
 
 
+# The Smith form path that the alternating Hermite passes replaced, kept
+# verbatim as the reference for D: a Hermite phase, then a diagonalization
+# that pivots on the smallest nonzero absolute value in the whole block.
+
+
+def _find_pivot(a, t, rows, cols):
+    """Smallest nonzero |entry| in the submatrix i,j >= t; ties by (row, col)."""
+    best = None
+    best_abs = None
+    for i in range(t, rows):
+        row = a[i]
+        for j in range(t, cols):
+            v = row[j]
+            if v == 0:
+                continue
+            av = -v if v < 0 else v
+            if best_abs is None or av < best_abs:
+                best_abs = av
+                best = (i, j)
+                if av == 1:
+                    return best
+    return best
+
+
+def _diagonalize(a, rows, cols, vt):
+    """Diagonalize the leading rows x cols block of `a` in place, with a
+    fixed pivot rule; the block's rows must hold every nonzero entry.
+
+    Row operations act on whole rows, so a transform carried in trailing
+    columns follows them. Column operations act on the block and, unless
+    `vt` is None, on the rows of `vt`, the transpose of the column transform.
+    """
+
+    def move_pivot(t):
+        i0, j0 = _find_pivot(a, t, rows, cols)
+        a[t], a[i0] = a[i0], a[t]
+        if j0 != t:
+            # rows above t are finished and zero in both columns
+            for i in range(t, rows):
+                row = a[i]
+                row[t], row[j0] = row[j0], row[t]
+            if vt is not None:
+                vt[t], vt[j0] = vt[j0], vt[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+
+    for t in range(rows):
+        while True:
+            move_pivot(t)
+            # Clear column t and row t; a nonzero remainder means the pivot
+            # was not the gcd yet, so re-pick (strictly smaller) and retry.
+            while True:
+                dirty = False
+                d = a[t][t]
+                for i in range(t + 1, rows):
+                    if a[i][t] == 0:
+                        continue
+                    q = a[i][t] // d
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t] != 0:
+                        dirty = True
+                d = a[t][t]
+                # column t of V as (index, entry) pairs, since it is mostly zero
+                vcol = vt and [(k, y) for k, y in enumerate(vt[t]) if y]
+                for j in range(t + 1, cols):
+                    if a[t][j] == 0:
+                        continue
+                    q = a[t][j] // d
+                    if q:
+                        for i in range(t, rows):
+                            row = a[i]
+                            if row[t]:
+                                row[j] -= q * row[t]
+                        if vt is not None:
+                            row = vt[j]
+                            for k, y in vcol:
+                                row[k] -= q * y
+                    if a[t][j] != 0:
+                        dirty = True
+                if not dirty:
+                    break
+                move_pivot(t)
+            # Divisibility: the pivot must divide the whole remaining block
+            # (a unit pivot always does).
+            d = a[t][t]
+            viol = None
+            if d != 1:
+                for i in range(t + 1, rows):
+                    row = a[i]
+                    if any(row[j] % d for j in range(t + 1, cols)):
+                        viol = i
+                        break
+            if viol is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[viol])]
+
+
+def hermite_pivot_smith(matrix, transforms):
+    """The Smith form core: Hermite form first, then diagonalization.
+
+    A matrix with more rows than columns is worked on as its transpose, so
+    the row transform carried through the Hermite phase is the smaller
+    square. Returns (U, diagonal, V) as lists of rows, or only the diagonal
+    when `transforms` is false; then no transform is formed at all.
+    """
+    if not isinstance(matrix, IntMatrix):
+        matrix = IntMatrix(matrix)
+    r, c = matrix.rows, matrix.cols
+    entries = matrix.entries
+    flip = r > c
+    if flip:
+        entries, r, c = tuple(zip(*entries)), c, r
+    if transforms:
+        # [A | U]: every row operation on A is recorded in U for free
+        a = [list(row) + [1 if i == k else 0 for k in range(r)]
+             for i, row in enumerate(entries)]
+        vt = [[1 if i == k else 0 for k in range(c)] for i in range(c)]
+    else:
+        a = [list(row) for row in entries]
+        vt = None
+    rank = _hermite(a, r, c)
+    _diagonalize(a, rank, c, vt)
+    diag = [a[i][i] for i in range(rank)] + [0] * (min(r, c) - rank)
+    if not transforms:
+        return diag
+    u = [row[c:] for row in a]
+    if flip:
+        return vt, diag, [list(col) for col in zip(*u)]
+    return u, diag, [list(col) for col in zip(*vt)]
+
+
 def pivot_snf(matrix):
-    """The Smith normal form without a Hermite phase that the current one
-    replaced, kept as the reference for D. Its U and V grow without bound:
+    """The Smith normal form without a Hermite phase, which the Hermite
+    phase of `hermite_pivot_smith` replaced, kept as a second reference for
+    D. Its U and V grow without bound:
     16,193 bits on the 60 x 60 matrix of `test_snf_transforms_stay_small`."""
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix)
@@ -175,6 +308,14 @@ def snf_corpus():
             sub = reidemeister_schreier(p, todd_coxeter(p, words))
             if sub.relators:
                 yield [w.exponent_vector(sub.ngens) for w in sub.relators]
+    # the 600 x 181 relation matrix of S_5 over <s0> flipped to its wide
+    # transpose, which is worked on directly: its column passes are long
+    p = coxeter(5)
+    sub = reidemeister_schreier(p, todd_coxeter(p, [p.word("s0")]))
+    yield [list(col) for col in zip(*(w.exponent_vector(sub.ngens)
+                                      for w in sub.relators))]
+    # already diagonal; the gcd/lcm merges meet d_i < d_j and d_i > d_j
+    yield [[4, 0, 0, 0], [0, 6, 0, 0], [0, 0, 9, 0], [0, 0, 0, 10]]
     for _ in range(8):
         cols = rng.randrange(16, 25)
         chain = []
@@ -191,6 +332,9 @@ def test_snf_matches_pivot_reference():
         m = IntMatrix(rows)
         u, d, v = smith_normal_form(m)
         assert d == pivot_snf(m)[1], rows
+        diag = d.diagonal_entries()
+        assert tuple(hermite_pivot_smith(m, True)[1]) == diag, rows
+        assert tuple(hermite_pivot_smith(m, False)) == diag, rows
         assert u @ m @ v == d
         assert det_bareiss(u.entries) in (1, -1)
         assert det_bareiss(v.entries) in (1, -1)
@@ -203,7 +347,7 @@ def test_snf_matches_pivot_reference():
             assert (u, d, v) == tuple(IntMatrix(list(zip(*w.entries)))
                                       for w in (vt, dt, ut))
         count += 1
-    assert count == 36 + 5 + 4 + 8 + 2 + 7 + 15 + 8
+    assert count == 36 + 5 + 4 + 8 + 2 + 7 + 15 + 2 + 8
 
 
 def test_snf_transforms_stay_small(capsys):

@@ -361,6 +361,19 @@ def test_aut_budget_truncation_flags_incomplete():
     assert g2._aut is None
 
 
+def test_aut_cache_serves_only_budgets_that_would_finish():
+    g = PermGroup(5, symmetric_group(5).generators)  # no cached search yet
+    full = aut_group_search(g)
+    assert full.complete and g._aut is full
+    used = full.nodes_used
+    # a smaller budget runs out exactly as it does on a fresh group
+    short = aut_group_search(g, budget=used - 1)
+    fresh = aut_group_search(PermGroup(5, g.generators), budget=used - 1)
+    assert not short.complete and short.nodes_used == used - 1
+    assert (short.order(), set(short.maps)) == (fresh.order(), set(fresh.maps))
+    assert aut_group_search(g, budget=used) is full
+
+
 def elementary_abelian_cube(p):
     """Z_p^3 as three disjoint p-cycles."""
     cycles = ["(" + " ".join(str(p * i + j) for j in range(1, p + 1)) + ")"
