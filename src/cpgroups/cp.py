@@ -24,13 +24,14 @@ INCONCLUSIVE otherwise; INCONCLUSIVE is an honest outcome, not a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import BudgetExhausted, CapExceeded, ConjugationNotInnerError
 from .homalg import (AbelianStructure, IntMatrix, smith_normal_form,
                      tensor_with_zp)
 from .perm import (DEFAULT_AUT_NODE_BUDGET, PermGroup, _require_normal,
-                   alternating_group, aut_group_search, center, centralizer,
-                   derived_subgroup, symmetric_group)
+                   _sift_in, alternating_group, aut_group_search, center,
+                   centralizer, derived_subgroup, symmetric_group)
 from .fp import (FpPresentation, abelianization,
                  coset_table_from_action, reidemeister_schreier)
 
@@ -46,14 +47,9 @@ def cp_subgroup(group, p):
     if p < 1:
         raise ValueError("p must be >= 1")
     derived = derived_subgroup(group)
-    gens = list(derived.generators)
-    for g in group.generators:
-        q = g ** p
-        if not q.is_identity() and q not in gens:
-            gens.append(q)
     chain = derived.chain.copy()  # the cached chain itself stays as it is
-    chain.extend(gens[len(derived.generators):])
-    return group._make_subgroup(gens, chain)
+    powers = _sift_in(chain, [g ** p for g in group.generators])
+    return group._make_subgroup(derived.generators + tuple(powers), chain)
 
 
 def cp_quotient_fp(presentation, p):
@@ -83,11 +79,14 @@ def cp_quotient_perm(group, p):
     The quotient is abelian of exponent dividing p, and for d | p its
     quotient mod d is G / C^d(G). So for each prime q | p the indices
     [G : C^(q^j)(G)] = q^(s_j), taken while q^j | p, fix the q-part:
-    s_j - s_(j-1) cyclic factors have order at least q^j.
+    s_j - s_(j-1) cyclic factors have order at least q^j. The exponent
+    also divides |G|, so p is first reduced to gcd(p, |G|), whose primes
+    are at most the degree.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     n = group.order()
+    p = gcd(p, n)
     prime_powers = []
     for q in _prime_factors(p):
         counts = []  # counts[j - 1]: cyclic q-factors of order >= q^j
@@ -213,12 +212,13 @@ def derived_p_series(obj, p, depth, budget=DEFAULT_SERIES_INDEX_CAP):
         cur = obj
         for k in range(depth):
             quotient = cp_quotient_fp(cur, p)
-            index = quotient.order()
-            if index > budget:
+            if quotient.order() > budget:
                 truncated_at = k
                 break
-            sub = cp_kernel_presentation(cur, p, budget)
-            levels.append(PSeriesLevel(sub, quotient, index))
+            # the report checks the table's index against the quotient
+            table = cp_kernel_coset_table(cur, p, budget)
+            sub = reidemeister_schreier(cur, table)
+            levels.append(PSeriesLevel(sub, quotient, table.index))
             cur = sub
     elif isinstance(obj, PermGroup):
         kind = "permutation"
@@ -300,7 +300,7 @@ def cp_group_verdict(group, p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
         return CpVerdict(IS_CP_GROUP, SELF_WITNESS, cert)
 
     aset = _complete_aut_search(group, aut_budget)
-    cert["center_order"] = center(group).order()
+    cert["center_order"] = aset.center_order
     cert["aut_order"] = aset.order()
     cert["inner_order"] = aset.inner_order()
     if cert["center_order"] == 1 and cert["aut_order"] == cert["inner_order"]:
@@ -309,8 +309,7 @@ def cp_group_verdict(group, p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     aut_perm = aset.as_perm_group()
     cp_aut = cp_subgroup(aut_perm, p)
     cert["cp_of_aut_order"] = cp_aut.order()
-    inner_maps = [aset.conjugation_map(g) for g in group.generators]
-    contained = all(m in cp_aut for m in inner_maps)
+    contained = all(m in cp_aut for m in aset.inner_maps)
     cert["inner_in_cp_of_aut"] = contained
     if not contained:
         return CpVerdict(NOT_CP_GROUP, AUT_CRITERION, cert)
@@ -400,9 +399,8 @@ def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     alt_image = PermGroup(aut_perm.degree, image_gens, degree_cap=None)
     equals_image = cp_aut.equals_subgroup(alt_image)
 
-    inner_gens = [aset.conjugation_map(g) for g in s6.generators]
-    inner_group = PermGroup(aut_perm.degree, inner_gens, degree_cap=None)
-    inner_contained = all(m in cp_aut for m in inner_gens)
+    inner_group = PermGroup(aut_perm.degree, aset.inner_maps, degree_cap=None)
+    inner_contained = all(m in cp_aut for m in aset.inner_maps)
 
     # the maps are formed one at a time, and the scan stops at its first hit
     outer10 = any(m.order() == 10 and m not in inner_group for m in aset.maps)

@@ -13,9 +13,10 @@ so rebuilding a group from the same generator list reproduces the same
 chain. Nothing is computed twice: transversals hold the image tuples of
 the inverse coset representatives, so sifting never inverts; orbits grow
 by the points a new generator reaches; and per-point counters let every
-Schreier check resume where the last one stopped. A chain grows in place
-by `extend`, so a subgroup built one element or one round at a time keeps
-one chain. A PermGroup lazily builds its chain behind a lock, or receives
+Schreier check resume where the last one stopped. A subgroup grows one
+chain in place by `extend`, one element at a time, and keeps an element
+as a generator only if it grew the chain: at most log2 of its order are
+kept. A PermGroup lazily builds its chain behind a lock, or receives
 one already built for its generators. A chain is extended only before its
 group is returned, and a cached chain is never mutated (`cp_subgroup`
 extends a copy of the derived subgroup's chain); once built, every query
@@ -35,7 +36,8 @@ that base level by level, from the last generator to the first; |Aut| is
 the product of the basic orbit lengths, and no product of maps is stored.
 Candidates are pruned by the (element order, centralizer order)
 fingerprint, with centralizer orders read off conjugacy class sizes, and
-by the fingerprints of generator products, read off the element products.
+by the fingerprints of generator products, read off the element products;
+|Z(G)| is the number of one-element classes.
 It never builds the |G| x |G| table: right multiplication by an element is
 a column built along the walk's tree, only for the images being verified
 and their ancestors. Every strong generator is verified against every edge
@@ -461,8 +463,8 @@ class PermGroup:
     """A finite permutation group given by generators.
 
     Treat instances as immutable: the stabilizer chain and a few derived
-    results (elements, derived subgroup, center, automorphism set) are
-    cached on the instance, and the named-group constructors below share
+    results (elements, derived subgroup, automorphism set) are cached on
+    the instance, and the named-group constructors below share
     instances process-wide.
     """
 
@@ -480,7 +482,6 @@ class PermGroup:
         self._chain = None
         self._elements = None
         self._derived = None
-        self._center = None
         self._aut = None
 
     def _make_subgroup(self, generators, chain=None):
@@ -546,31 +547,25 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, gens=[{gens}])"
 
 
+def _sift_in(chain, elements):
+    """Extend the chain by each element in turn; the elements that grew it
+    (each at least doubles the order; the identity and repeats never do)."""
+    return [x for x in elements if chain.extend([x])]
+
+
 def normal_closure(group, seeds):
-    """Smallest normal subgroup of `group` containing every seed element."""
-    gens = []
+    """Smallest normal subgroup of `group` containing every seed element:
+    the seeds, then the conjugates of kept generators by the group's
+    generators, are each kept only if they grow the chain."""
+    seeds = list(seeds)
     for s in seeds:
         if not group.contains(s):
             raise ValueError(f"element {s} is not in the group")
-        if not s.is_identity() and s not in gens:
-            gens.append(s)
-    chain = _StabilizerChain(group.degree, gens)
+    chain = _StabilizerChain(group.degree)
+    gens = _sift_in(chain, seeds)
     conjugators = [(g.inverse(), g) for g in group.generators]
-    # conjugates of older generators were tested in earlier rounds, so each
-    # round conjugates only the generators the previous round added
-    frontier = gens
-    while frontier:
-        new = []
-        seen = set()
-        for h in frontier:
-            for ginv, g in conjugators:
-                c = ginv * h * g
-                if c.images not in seen and not chain.contains(c):
-                    seen.add(c.images)
-                    new.append(c)
-        chain.extend(new)
-        gens = gens + new
-        frontier = new
+    for h in gens:  # the list grows while it is walked
+        gens.extend(_sift_in(chain, [ginv * h * g for ginv, g in conjugators]))
     return group._make_subgroup(gens, chain)
 
 
@@ -588,8 +583,7 @@ def _reduce_generators(group, elements):
     """Subgroup of `group` generated by the elements, keeping in order each
     one that is not yet in the span of those kept before it."""
     chain = _StabilizerChain(group.degree)
-    kept = [x for x in elements if chain.extend([x])]
-    return group._make_subgroup(kept, chain)
+    return group._make_subgroup(_sift_in(chain, elements), chain)
 
 
 def _require_normal(group, sub, name):
@@ -613,10 +607,8 @@ def centralizer(group, subgroup):
 
 
 def center(group):
-    """Center of the group (cached on the instance)."""
-    if group._center is None:
-        group._center = centralizer(group, group)
-    return group._center
+    """Center of the group, by a scan of its elements."""
+    return centralizer(group, group)
 
 
 class QuotientAction:
@@ -745,23 +737,28 @@ class AutomorphismSet:
     the whole automorphism group: the search was exhaustive and the group
     contains all inner automorphisms. When the node budget ran out,
     `complete` is false and the group is the part found so far.
+    `center_order` is |Z(G)|, counted off the search's conjugacy classes,
+    and `inner_maps` are the conjugations by the base group's generators.
     """
 
-    def __init__(self, base_group, chain, complete, elements, index, nodes_used):
+    def __init__(self, base_group, chain, complete, elements, index, nodes_used,
+                 center_order):
         self.base_group = base_group
         self.chain = chain
         self.maps = _ChainElements(chain)
         self.complete = complete
         self.elements = tuple(elements)
         self.nodes_used = nodes_used
+        self.center_order = center_order
         self._index = index
         self._perm_group = None
+        self.inner_maps = tuple(self.conjugation_map(g) for g in base_group.generators)
 
     def order(self):
         return self.chain.order()
 
     def inner_order(self):
-        return self.base_group.order() // center(self.base_group).order()
+        return self.base_group.order() // self.center_order
 
     def apply(self, automorphism, x):
         """Image of an arbitrary group element under one of the maps."""
@@ -938,11 +935,11 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             if phi is not None:
                 chain._place(phi, i)
 
-    result = AutomorphismSet(group, chain, not truncated, elems, index, nodes)
+    result = AutomorphismSet(group, chain, not truncated, elems, index, nodes,
+                             cent.count(n))
     if result.complete:
-        for g in group.generators:
-            if not chain.contains(result.conjugation_map(g)):
-                raise RuntimeError("search missed an inner automorphism")
+        if not all(chain.contains(m) for m in result.inner_maps):
+            raise RuntimeError("search missed an inner automorphism")
         group._aut = result
     return result
 

@@ -380,17 +380,19 @@ print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans})}
 def test_benchmark_tracer_finds_its_spans():
     # the benchmark's traced pass wraps these by name, so a rename would
     # otherwise only show up there; only the AUT_CRITERION verdict on D4
-    # builds the automorphism group as a permutation group
+    # builds the automorphism group as a permutation group, and only the
+    # exact-sequence check lists the elements of a group
     argvs = [["aut", "--group", "S4"], ["verdict", "--group", "S4", "--p", "2"],
              ["series", "--group", "S4", "--p", "2", "--depth", "1"],
-             ["verdict", "--group", "D4", "--p", "2"]]
+             ["verdict", "--group", "D4", "--p", "2"],
+             ["verify", "lem.centralizer.exact"]]
     proc = subprocess.run(
         [sys.executable, "-c", TRACER_SCRIPT, str(SRC.parent / "perfbench"),
          json.dumps(argvs)],
         env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 1, 0, 1]
+    assert result["codes"] == [0, 1, 0, 1, 0]
     for name in ["perm.aut_group_search", "perm.as_perm_group", "perm.chain",
                  "perm.elements"]:
         assert name in result["spans"], name

@@ -1,5 +1,6 @@
 import pytest
 
+from cpgroups import cp, perm
 from cpgroups.cp import (CpVerdict, cp_group_verdict, cp_kernel_coset_table,
                          cp_kernel_presentation, cp_quotient_fp,
                          cp_quotient_perm, cp_subgroup, derived_p_series,
@@ -265,6 +266,34 @@ def test_derived_p_series_budget_truncation():
     assert report.levels == ()
 
 
+def test_fp_series_checks_its_index_against_the_quotient(monkeypatch):
+    # the index is the translation table's, so a quotient whose order
+    # disagrees with it is caught
+    for p in (2, 3, 6):
+        report = derived_p_series(TREFOIL, p, 2)
+        cur = TREFOIL
+        for level in report.levels:
+            assert level.index == cp_kernel_coset_table(cur, p).index
+            cur = level.group
+    monkeypatch.setattr(cp, "cp_quotient_fp",
+                        lambda presentation, p: AbelianStructure(torsion=(2, 2)))
+    with pytest.raises(ValueError, match="disagrees"):
+        derived_p_series(TREFOIL, 2, 1)
+
+
+def test_cp_quotient_perm_reduces_a_huge_p():
+    # a prime far above the degree: it divides no order, and the primes
+    # of p are never factored beyond those of |G|
+    q = 2 ** 61 - 1
+    assert cp_quotient_perm(symmetric_group(5), q).order() == 1
+    for group in (symmetric_group(5), cyclic_group(12),
+                  direct_product(cyclic_group(6), cyclic_group(4))):
+        for p in (2, 4, 12):
+            assert cp_quotient_perm(group, p * q) == cp_quotient_perm(group, p)
+    report = derived_p_series(symmetric_group(5), q, 1)
+    assert [level.index for level in report.levels] == [1]
+
+
 def test_cp_quotient_perm_of_abelian_group_is_its_structure():
     # C^|H|(H) is trivial for abelian H
     for group, torsion in [(cyclic_group(12), (12,)), (klein_four_group(), (2, 2)),
@@ -282,6 +311,18 @@ def test_verdict_s3():
     even = cp_group_verdict(symmetric_group(3), 2)
     assert (even.status, even.reason) == ("NOT_CP_GROUP", "COMPLETE_CRITERION")
     assert even.certificate["cp_order"] == 3
+
+
+def test_verdict_reads_the_center_off_the_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("centralizer called")
+    monkeypatch.setattr(perm, "centralizer", refuse)
+    monkeypatch.setattr(cp, "centralizer", refuse)
+    s5 = PermGroup(5, symmetric_group(5).generators)  # no cached results
+    verdict = cp_group_verdict(s5, 2)
+    assert verdict.reason == "COMPLETE_CRITERION"
+    assert verdict.certificate["center_order"] == 1
+    assert verdict.certificate["inner_order"] == 120
 
 
 def test_verdict_complete_criterion():

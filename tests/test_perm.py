@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from cpgroups.cp import cp_subgroup
 from cpgroups.errors import BudgetExhausted, CapExceeded
 from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
                            Perm, PermGroup, _conjugator, _first_appearance,
@@ -164,6 +165,81 @@ def test_normal_closure():
     assert normal_closure(s4, [parse_cycles("(1 2)", 4)]).order() == 24
     with pytest.raises(ValueError):
         normal_closure(alternating_group(4), [parse_cycles("(1 2)", 4)])
+
+
+def frontier_normal_closure(group, seeds):
+    """The round-based normal closure that `normal_closure` replaced, kept
+    verbatim as its reference: it keeps every distinct seed and every
+    conjugate not yet in the chain when it was tested."""
+    gens = []
+    for s in seeds:
+        if not group.contains(s):
+            raise ValueError(f"element {s} is not in the group")
+        if not s.is_identity() and s not in gens:
+            gens.append(s)
+    chain = _StabilizerChain(group.degree, gens)
+    conjugators = [(g.inverse(), g) for g in group.generators]
+    # conjugates of older generators were tested in earlier rounds, so each
+    # round conjugates only the generators the previous round added
+    frontier = gens
+    while frontier:
+        new = []
+        seen = set()
+        for h in frontier:
+            for ginv, g in conjugators:
+                c = ginv * h * g
+                if c.images not in seen and not chain.contains(c):
+                    seen.add(c.images)
+                    new.append(c)
+        chain.extend(new)
+        gens = gens + new
+        frontier = new
+    return group._make_subgroup(gens, chain)
+
+
+def _series_levels(group, p, depth):
+    """The group and its first `depth` levels of C^p."""
+    levels = [group]
+    for _ in range(depth):
+        levels.append(cp_subgroup(levels[-1], p))
+    return levels
+
+
+def test_normal_closure_matches_frontier_reference():
+    rng = random.Random(4711)
+    for group in small_groups():
+        elements = group.elements()
+        for k in range(4):
+            # repeats and the identity among the seeds too
+            seeds = [rng.choice(elements) for _ in range(k)] + [elements[0]]
+            fast = normal_closure(group, seeds)
+            assert fast.equals_subgroup(frontier_normal_closure(group, seeds)), \
+                (group, seeds)
+    # the reference takes seconds from A_6's third level on
+    for group in (alternating_group(6), symmetric_group(8)):
+        for level in _series_levels(group, 2, 2):
+            gens = level.generators
+            seeds = [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]]
+            assert normal_closure(level, seeds).equals_subgroup(
+                frontier_normal_closure(level, seeds)), level
+
+
+def _has_at_most_log2_generators(sub):
+    return 2 ** len(sub.generators) <= sub.order()
+
+
+def test_subgroup_generators_are_at_most_log2_of_the_order():
+    rng = random.Random(815)
+    for group in small_groups():
+        seeds = [rng.choice(group.elements()) for _ in range(3)]
+        subs = [normal_closure(group, seeds), derived_subgroup(group)]
+        subs += [cp_subgroup(group, p) for p in (1, 2, 3, 4, 6)]
+        for sub in subs:
+            assert _has_at_most_log2_generators(sub), (group, sub)
+    for group in (alternating_group(6), symmetric_group(8)):
+        for level in _series_levels(group, 2, 6):
+            assert _has_at_most_log2_generators(level), level
+            assert _has_at_most_log2_generators(derived_subgroup(level)), level
 
 
 def _cayley(degree, generators):
@@ -805,6 +881,19 @@ def test_aut_search_matches_table_reference():
             # S_6's 324 nodes it is already the whole group, unproven)
             assert fast.nodes_used == budget, (name, budget)
             assert set(maps) <= references[name], (name, budget)
+
+
+def test_center_order_and_inner_maps_come_from_the_search():
+    # S_4 x Z_2 and the cyclic groups have a nontrivial center, and the
+    # truncated S_6 searches show that a partial result reads them too
+    cases = aut_reference_corpus() + [
+        ("S3xZ4", direct_product(symmetric_group(3), cyclic_group(4)),
+         DEFAULT_AUT_NODE_BUDGET)]
+    for name, group, budget in cases:
+        aset = aut_group_search(group, budget)
+        assert aset.center_order == center(group).order(), name
+        assert aset.inner_maps == tuple(aset.conjugation_map(g)
+                                        for g in group.generators), name
 
 
 def test_commutator():
