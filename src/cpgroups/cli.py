@@ -18,10 +18,11 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from math import lcm
 
 from . import catalog
 from .errors import BudgetExhausted
-from .homalg import IntMatrix, cyclic, lhs_e2_table, smith_normal_form
+from .homalg import IntMatrix, lhs_e2_table, smith_normal_form
 from . import cp as cp_mod
 from . import fp as fp_mod
 from . import knot as knot_mod
@@ -120,9 +121,9 @@ def _recognize(group, sub, spec):
         if sub.degree == 4 and sub.order() == 4 \
                 and sub.equals_subgroup(perm_mod.klein_four_group()):
             return "V4"
-    # an abelian H has C^|H|(H) = 1, so this is the structure of H itself
-    if sub.is_abelian() \
-            and cp_mod.cp_quotient_perm(sub, sub.order()) == cyclic(sub.order()):
+    # an abelian H is cyclic iff its exponent, the lcm of its generators'
+    # orders, is |H|
+    if sub.is_abelian() and lcm(*(g.order() for g in sub.generators)) == sub.order():
         return f"Z{sub.order()}"
     return None
 

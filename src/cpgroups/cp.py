@@ -230,6 +230,8 @@ def derived_p_series(obj, p, depth, budget=DEFAULT_SERIES_INDEX_CAP):
                 truncated_at = k
                 break
             quotient = cp_quotient_perm(cur, p)
+            if index == 1:  # a stationary level keeps cur and its derived subgroup
+                sub = cur
             levels.append(PSeriesLevel(sub, quotient, index))
             cur = sub
     else:

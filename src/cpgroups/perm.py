@@ -35,9 +35,10 @@ base for Aut(G) acting on G, and the search builds a stabilizer chain on
 that base level by level, from the last generator to the first; |Aut| is
 the product of the basic orbit lengths, and no product of maps is stored.
 Candidates are pruned by the (element order, centralizer order)
-fingerprint, with centralizer orders read off conjugacy class sizes, and
-by the fingerprints of generator products, read off the element products;
-|Z(G)| is the number of one-element classes.
+fingerprint, with centralizer orders read off conjugacy class sizes, by
+the fingerprints of generator products, read off the element products,
+and by prefix orders: images c_0..c_k must generate a subgroup of order
+|<g_0..g_k>|. |Z(G)| is the number of one-element classes.
 It never builds the |G| x |G| table: right multiplication by an element is
 a column built along the walk's tree, only for the images being verified
 and their ancestors. Every strong generator is verified against every edge
@@ -793,9 +794,11 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     orbit; an exhausted subtree means that no automorphism sends generator
     i there. |Aut| is the product of the basic orbit lengths, and no
     product of maps is ever stored. Candidate images are pruned by the
-    (element order, centralizer order) fingerprint and by the fingerprints
-    of generator products, and every strong generator is verified against
-    every edge of the Cayley graph. If the node budget runs out, the group
+    (element order, centralizer order) fingerprint, by the fingerprints
+    of generator products, and by prefix orders: an automorphism keeps
+    |<g_0..g_k>|, which grows with k. Every strong generator is verified
+    against every edge of the Cayley graph. Only the order cap and the
+    node budget bound the search. If the node budget runs out, the group
     found so far is returned flagged incomplete, after exactly `budget`
     nodes. The search is deterministic, so a complete result is cached and
     served to every later call whose budget would have let it finish.
@@ -808,10 +811,6 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             f"group order {n} exceeds automorphism search cap {DEFAULT_AUT_ORDER_CAP}")
 
     kept = _reduce_generators(group, group.generators).generators
-    if len(kept) > 3:
-        raise CapExceeded(
-            f"{len(kept)} independent generators; the search requires at most 3")
-
     elems, index, rows, tree = _first_appearance(
         Perm.identity(group.degree), len(kept), lambda x, k: x * kept[k])
     if len(elems) != n:
@@ -860,6 +859,10 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     # targets[k][l]: fingerprint of g_l g_k. It is also that of g_k g_l, a
     # conjugate, so one order of each product is checked.
     targets = [[fingerprint[rows[gidx[l]][k]] for l in range(k)] for k in range(m)]
+    # orders[k] = |<g_0..g_k>|, which an automorphism keeps; the fingerprint
+    # holds it for k = 0, and verify decides k = m - 1
+    orders = {k: _StabilizerChain(group.degree, kept[:k + 1]).order()
+              for k in range(1, m - 1)}
 
     # the walk's edges x -> x * g_k in walk order, flagging the tree edge
     # that first reaches each element
@@ -902,10 +905,14 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
 
     def fits(img, c):
         # c as the image after img, against the fingerprints of the
-        # products with img, read off the elements (no column is built)
+        # products with img, read off the elements (no column is built),
+        # and against the prefix order
         x = elems[c]
-        return all(fingerprint[index[elems[a] * x]] == t
-                   for a, t in zip(img, targets[len(img)]))
+        k = len(img)
+        return (all(fingerprint[index[elems[a] * x]] == t
+                    for a, t in zip(img, targets[k]))
+                and (k not in orders or orders[k] == _StabilizerChain(
+                    group.degree, [elems[a] for a in img] + [x]).order()))
 
     def extension(img):
         # depth first: one verified automorphism with these first images

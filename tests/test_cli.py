@@ -61,6 +61,14 @@ def test_cp_subgroup_names_large_cyclic(capsys):
     code, out = run_cli(capsys, ["cp-subgroup", "--group", group, "--p", "2"])
     assert code == 0
     assert 'name="Z1260"' in out
+    # C^2 is Z_2 x Z_3 = Z_6 though no generator has order 6, and then
+    # Z_2 x Z_2, of order 4 but exponent 2
+    code, out = run_cli(capsys, ["cp-subgroup", "--group", "(1 2), (3 4 5), (6 7 8 9)",
+                                 "--p", "2"])
+    assert code == 0 and 'name="Z6"' in out
+    code, out = run_cli(capsys, ["cp-subgroup", "--group", "(1 2 3 4), (5 6 7 8)",
+                                 "--p", "2"])
+    assert code == 0 and "name=null" in out
 
 
 def test_verdict_exit_codes(capsys):

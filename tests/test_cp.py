@@ -253,6 +253,15 @@ def test_derived_p_series_s3_terminates():
     assert report.quotients == [cyclic(2), cyclic(3)]
 
 
+def test_perm_series_keeps_a_stationary_level_as_it_started():
+    # S_5 -> A_5, then C^2(A_5) = A_5: a level of index 1 is the group it
+    # started from, so its cached derived subgroup serves every later level
+    report = derived_p_series(PermGroup(5, symmetric_group(5).generators), 2, 4)
+    assert [level.index for level in report.levels] == [2, 1, 1, 1]
+    a5 = report.levels[0].group
+    assert all(level.group is a5 for level in report.levels[1:])
+
+
 def test_derived_p_series_infinite_cyclic():
     free = parse_presentation("< a | >")
     report = derived_p_series(free, 2, 3)

@@ -392,6 +392,21 @@ def test_aut_s6_has_outer_half():
     assert len(aset.maps) // aset.inner_order() == 2
 
 
+def elementary_abelian(p, k):
+    """Z_p^k as k disjoint p-cycles."""
+    cycles = ["(" + " ".join(str(p * i + j) for j in range(1, p + 1)) + ")"
+              for i in range(k)]
+    return PermGroup(k * p, [parse_cycles(c, degree=k * p) for c in cycles])
+
+
+def gl_order(k, q):
+    """|GL(k, q)| = |Aut(Z_q^k)| for a prime q."""
+    out = 1
+    for i in range(k):
+        out *= q**k - q**i
+    return out
+
+
 # search nodes per group, pinned so that any change in candidate order or
 # pruning shows up here
 AUT_NODES = {
@@ -403,6 +418,10 @@ AUT_NODES = {
     "S5": 35, "S6": 324, "A6": 228, "S4xZ7": 82, "S3xZ25": 102,
     # three kept generators, so the product prune shows in nodes
     "S4xZ2": 32, "A4xZ2": 20,
+    # the prefix-order prune shows too: Z3^3 takes 110 nodes without it,
+    # and Z2^6 243,119
+    "Z2^4": 77, "Z2^5": 191, "Z2^6": 443, "Z2^7": 995, "Z3^3": 84, "Z3^4": 337,
+    "Z2^2xS3": 28, "Z2^2xZ3^2": 30,
 }
 
 
@@ -419,7 +438,15 @@ def test_aut_orders_match_closed_forms():
                 ("S3xZ25", coprime_product(symmetric_group(3), 25), 120),
                 # |Aut(H x Z_2)| = |Aut(H)| |Hom(H, Z_2)| for centerless H
                 ("S4xZ2", direct_product(symmetric_group(4), cyclic_group(2)), 48),
-                ("A4xZ2", direct_product(alternating_group(4), cyclic_group(2)), 24)])
+                ("A4xZ2", direct_product(alternating_group(4), cyclic_group(2)), 24)]
+             # three or more kept generators, so the prefix-order prune runs
+             + [(f"Z2^{k}", elementary_abelian(2, k), gl_order(k, 2)) for k in range(4, 8)]
+             + [(f"Z3^{k}", elementary_abelian(3, k), gl_order(k, 3)) for k in (3, 4)]
+             # |Aut(S_3)| |Aut(Z_2^2)| |Hom(S_3, Z_2^2)| = 6 * 6 * 4, and
+             # Aut(Z_6^2) = GL(2, 2) x GL(2, 3)
+             + [("Z2^2xS3", direct_product(elementary_abelian(2, 2), symmetric_group(3)), 144),
+                ("Z2^2xZ3^2", direct_product(elementary_abelian(2, 2),
+                                             elementary_abelian(3, 2)), 288)])
     for name, group, order in cases:
         aset = aut_group_search(group)
         assert aset.complete and aset.order() == len(aset.maps) == order, name
@@ -450,19 +477,12 @@ def test_aut_cache_serves_only_budgets_that_would_finish():
     assert aut_group_search(g, budget=used) is full
 
 
-def elementary_abelian_cube(p):
-    """Z_p^3 as three disjoint p-cycles."""
-    cycles = ["(" + " ".join(str(p * i + j) for j in range(1, p + 1)) + ")"
-              for i in range(3)]
-    return PermGroup(3 * p, [parse_cycles(c, degree=3 * p) for c in cycles])
-
-
 def test_aut_of_elementary_abelian_cubes_completes_in_small_memory(monkeypatch):
     # Aut(Z_p^3) = GL(3, p), of order (p^3 - 1)(p^3 - p)(p^3 - p^2): a chain
     # of a few strong generators, where a closure would hold every map
     for p, order in ((5, 1_488_000), (7, 33_784_128)):
         assert order == (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
-        g = elementary_abelian_cube(p)
+        g = elementary_abelian(p, 3)
         tracemalloc.start()
         try:
             aset = aut_group_search(g)
@@ -574,10 +594,6 @@ def closure_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             f"group order {n} exceeds automorphism search cap {DEFAULT_AUT_ORDER_CAP}")
 
     kept = _reduce_generators(group, group.generators).generators
-    if len(kept) > 3:
-        raise CapExceeded(
-            f"{len(kept)} independent generators; the search requires at most 3")
-
     elems, index, rows, tree = _first_appearance(
         Perm.identity(group.degree), len(kept), lambda x, k: x * kept[k])
     if len(elems) != n:
@@ -745,10 +761,6 @@ def table_aut_search(group, budget=DEFAULT_AUT_NODE_BUDGET,
         raise CapExceeded(f"group order {n} exceeds automorphism search cap {order_cap}")
 
     kept = _reduce_generators(group, group.generators).generators
-    if len(kept) > 3:
-        raise CapExceeded(
-            f"{len(kept)} independent generators; the search requires at most 3")
-
     elems, index, right, parent, pgen = _cayley(group.degree, kept)
     if len(elems) != n:
         raise RuntimeError("element enumeration disagrees with the group order")
@@ -848,6 +860,12 @@ def aut_reference_corpus():
              # three kept generators, so the product prune shows in nodes
              + [("S4xZ2", direct_product(symmetric_group(4), cyclic_group(2))),
                 ("A4xZ2", direct_product(alternating_group(4), cyclic_group(2)))]
+             # four or five kept generators, so the prefix-order prune runs
+             + [(f"Z2^2x{name}", direct_product(elementary_abelian(2, 2), h))
+                for name, h in (("S3", symmetric_group(3)), ("A4", alternating_group(4)),
+                                ("Z3^2", elementary_abelian(3, 2)),
+                                ("D4", dihedral_group(4)))]
+             + [("Z2^3xS3", direct_product(elementary_abelian(2, 3), symmetric_group(3)))]
              + [(f"small{i}", g) for i, g in enumerate(small_groups())])
     cases = [(name, g, DEFAULT_AUT_NODE_BUDGET) for name, g in named]
     cases += [("S6", symmetric_group(6), budget) for budget in (50, 200, 323, 324)]
