@@ -324,8 +324,20 @@ DOC_EXAMPLES = re.findall(
     (SRC.parent / "docs" / "cli.md").read_text(), re.M | re.S)
 
 
+def _doc_example_ids(examples):
+    """Each example's command name; a repeated command gets a -2, -3, ...
+    suffix, so the first example of a command keeps its bare name."""
+    seen = {}
+    ids = []
+    for example in examples:
+        name = example[0].split()[0]
+        seen[name] = seen.get(name, 0) + 1
+        ids.append(name if seen[name] == 1 else f"{name}-{seen[name]}")
+    return ids
+
+
 @pytest.mark.parametrize("command, code, expected", DOC_EXAMPLES,
-                         ids=[example[0].split()[0] for example in DOC_EXAMPLES])
+                         ids=_doc_example_ids(DOC_EXAMPLES))
 def test_docs_examples_reproduce(capsys, command, code, expected):
     assert cli.run(shlex.split(command)) == int(code)
     assert capsys.readouterr().out == expected + "\n"
