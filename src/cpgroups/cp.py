@@ -29,9 +29,10 @@ from math import gcd
 from .errors import BudgetExhausted, CapExceeded, ConjugationNotInnerError
 from .homalg import (AbelianStructure, IntMatrix, smith_normal_form,
                      tensor_with_zp)
-from .perm import (DEFAULT_AUT_NODE_BUDGET, PermGroup, _require_normal,
-                   _sift_in, alternating_group, aut_group_search, center,
-                   centralizer, derived_subgroup, symmetric_group)
+from .perm import (DEFAULT_AUT_NODE_BUDGET, PermGroup, _ChainElements,
+                   _require_normal, _sift_in, alternating_group,
+                   aut_group_search, center, centralizer, derived_subgroup,
+                   symmetric_group)
 from .fp import (FpPresentation, abelianization,
                  coset_table_from_action, reidemeister_schreier)
 
@@ -380,7 +381,9 @@ def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     result is exactly the conjugation image of A_6 (order 360), checks that
     image misses inner automorphisms, and re-checks that the index counting
     identity [Aut : Inn] = [Aut : C][C : Inn] cannot hold, which is the
-    contradiction the verdict rests on.
+    contradiction the verdict rests on. Every step after the search acts on
+    the 30 transpositions and triple transpositions of S_6, not on its 720
+    elements (see AutomorphismSet.as_perm_group).
 
     For odd p the operator fixes S_6 (self witness), so odd p is rejected
     here rather than silently answering the wrong question.
@@ -404,8 +407,10 @@ def verify_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
     inner_group = PermGroup(aut_perm.degree, aset.inner_maps, degree_cap=None)
     inner_contained = all(m in cp_aut for m in aset.inner_maps)
 
-    # the maps are formed one at a time, and the scan stops at its first hit
-    outer10 = any(m.order() == 10 and m not in inner_group for m in aset.maps)
+    # the elements of the small action are formed one at a time, and the
+    # scan stops at its first hit
+    outer10 = any(m.order() == 10 and m not in inner_group
+                  for m in _ChainElements(aut_perm.chain))
 
     aut_over_inner = aut_order // inner_order
     aut_over_cp = aut_order // cp_aut.order()

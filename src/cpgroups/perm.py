@@ -43,8 +43,9 @@ It never builds the |G| x |G| table: right multiplication by an element is
 a column built along the walk's tree, only for the images being verified
 and their ancestors. Every strong generator is verified against every edge
 of the Cayley graph, and a complete result must contain all inner
-automorphisms. The result lists its maps lazily from the chain, and its
-permutation group receives the chain, so building it runs no Schreier-Sims.
+automorphisms. The result lists its maps lazily from the chain. Its
+permutation group acts on a few whole fingerprint classes that generate G
+instead of on all of G, which is faithful: for S_6, on 30 points, not 720.
 """
 
 from __future__ import annotations
@@ -738,12 +739,16 @@ class AutomorphismSet:
     the whole automorphism group: the search was exhaustive and the group
     contains all inner automorphisms. When the node budget ran out,
     `complete` is false and the group is the part found so far.
-    `center_order` is |Z(G)|, counted off the search's conjugacy classes,
-    and `inner_maps` are the conjugations by the base group's generators.
+    `center_order` is |Z(G)|, counted off the search's conjugacy classes.
+
+    `as_perm_group`, `conjugation_map` and `inner_maps` (the conjugations
+    by the base group's generators) act on a small point set S that every
+    automorphism permutes faithfully, chosen on first use of any of them;
+    see `as_perm_group`.
     """
 
     def __init__(self, base_group, chain, complete, elements, index, nodes_used,
-                 center_order):
+                 center_order, fingerprint):
         self.base_group = base_group
         self.chain = chain
         self.maps = _ChainElements(chain)
@@ -752,8 +757,11 @@ class AutomorphismSet:
         self.nodes_used = nodes_used
         self.center_order = center_order
         self._index = index
+        self._fingerprint = fingerprint
+        self._points = None  # S, as element indices in increasing order
+        self._pos = None  # _pos[x]: the position of element x in S
         self._perm_group = None
-        self.inner_maps = tuple(self.conjugation_map(g) for g in base_group.generators)
+        self._inner_maps = None
 
     def order(self):
         return self.chain.order()
@@ -765,20 +773,75 @@ class AutomorphismSet:
         """Image of an arbitrary group element under one of the maps."""
         return self.elements[automorphism.images[self._index[x]]]
 
+    @property
+    def inner_maps(self):
+        """The conjugations by the base group's generators, as permutations
+        of S."""
+        if self._inner_maps is None:
+            self._inner_maps = tuple(self.conjugation_map(g)
+                                     for g in self.base_group.generators)
+        return self._inner_maps
+
     def conjugation_map(self, g):
-        """The inner automorphism x -> g x g^-1 as an element permutation."""
+        """The inner automorphism x -> g x g^-1, as a permutation of S: an
+        element of as_perm_group()."""
+        self.as_perm_group()
         conjugate = _conjugator(g)
-        return Perm._raw(tuple(self._index[conjugate(x)] for x in self.elements))
+        elements, index, pos = self.elements, self._index, self._pos
+        return Perm._raw(tuple([pos[index[conjugate(elements[x])]]
+                                for x in self._points]))
+
+    def _restrict(self, automorphism):
+        # one of the maps, as the permutation of S that it induces
+        images, pos = automorphism.images, self._pos
+        return Perm._raw(tuple([pos[images[x]] for x in self._points]))
 
     def as_perm_group(self):
-        """The automorphism group acting on the element set of the base group.
+        """The automorphism group acting faithfully on a small point set S.
 
-        It holds the search's chain, so nothing is sifted to build it.
+        S is the union of fingerprint classes that `_generating_classes`
+        picks: each class is the set of elements with one (element order,
+        centralizer order) pair, which every automorphism preserves, so
+        every automorphism permutes S. The classes generate G, and an
+        automorphism that fixes a generating set pointwise fixes G, so
+        restricting to S loses nothing. For S_6, S is the 30 transpositions
+        and triple transpositions, against 720 elements. The group is
+        generated by the restrictions of the search chain's strong
+        generators, and it certifies itself: its order must be the chain's,
+        or RuntimeError is raised (not an assert, so it holds under -O).
         """
         if self._perm_group is None:
-            ambient = PermGroup(len(self.elements), (), degree_cap=None)
-            self._perm_group = ambient._make_subgroup(self.chain.strong, self.chain)
+            points = _generating_classes(self.elements, self._fingerprint)
+            pos = [-1] * len(self.elements)
+            for j, x in enumerate(points):
+                pos[x] = j
+            self._points, self._pos = points, pos
+            group = PermGroup(len(points), [self._restrict(s) for s in self.chain.strong],
+                              degree_cap=None)
+            if group.order() != self.order():
+                raise RuntimeError(
+                    f"Aut acting on {len(points)} points has order {group.order()}, "
+                    f"not {self.order()}: the action is not faithful")
+            self._perm_group = group
         return self._perm_group
+
+
+def _generating_classes(elements, fingerprint):
+    """The point set S of AutomorphismSet.as_perm_group, as element indices
+    in increasing order: whole fingerprint classes, smallest first (ties by
+    their first element), each kept only if it grows the subgroup that the
+    classes kept before it generate, until they generate the group."""
+    classes = {}
+    for x, f in enumerate(fingerprint):
+        classes.setdefault(f, []).append(x)
+    chain = _StabilizerChain(elements[0].degree)
+    points = []
+    for cls in sorted(classes.values(), key=len):
+        if chain.order() == len(elements):
+            break
+        if chain.extend([elements[x] for x in cls]):
+            points.extend(cls)
+    return sorted(points)
 
 
 def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
@@ -943,10 +1006,11 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
                 chain._place(phi, i)
 
     result = AutomorphismSet(group, chain, not truncated, elems, index, nodes,
-                             cent.count(n))
+                             cent.count(n), fingerprint)
     if result.complete:
-        if not all(chain.contains(m) for m in result.inner_maps):
-            raise RuntimeError("search missed an inner automorphism")
+        for conjugate in map(_conjugator, group.generators):
+            if not chain.contains(Perm._raw(tuple([index[conjugate(x)] for x in elems]))):
+                raise RuntimeError("search missed an inner automorphism")
         group._aut = result
     return result
 

@@ -367,6 +367,20 @@ def test_verify_fails_loud_under_python_O():
     assert "items.0.passed=false" in proc.stdout
 
 
+def test_unfaithful_aut_action_fails_loud_under_python_O():
+    # acting on the centre of D_4 alone is not faithful; the order check
+    # that catches it is not an assert
+    script = ("import sys; from cpgroups import cli, perm; "
+              "perm._generating_classes = lambda elements, fingerprint: "
+              "[i for i, x in enumerate(elements) if x.images == (2, 3, 0, 1)]; "
+              "sys.exit(cli.main(['verdict', '--group', 'D4', '--p', '2']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "internal error:" in proc.stderr and "not faithful" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_closed_stdout_is_internal_error():
     # the child waits on stdin, so its stdout is closed before it writes
     script = ("import sys; sys.stdin.read(); from cpgroups import cli; "

@@ -1,7 +1,10 @@
 import pytest
 
 from cpgroups import cp, perm
-from cpgroups.cp import (CpVerdict, cp_group_verdict, cp_kernel_coset_table,
+from cpgroups.cp import (AUT_CRITERION, COMPLETE_CRITERION, INCONCLUSIVE,
+                         IS_CP_GROUP, NO_REASON, NOT_CP_GROUP, SELF_WITNESS,
+                         CpVerdict, S6PipelineReport, _complete_aut_search,
+                         cp_group_verdict, cp_kernel_coset_table,
                          cp_kernel_presentation, cp_quotient_fp,
                          cp_quotient_perm, cp_subgroup, derived_p_series,
                          verify_exact_sequence, verify_s6_pipeline)
@@ -9,7 +12,8 @@ from cpgroups.errors import ConjugationNotInnerError
 from cpgroups.fp import FpPresentation, Word, abelianization, parse_presentation
 from cpgroups.homalg import AbelianStructure, IntMatrix, cokernel_structure, \
     cyclic, tensor_with_zp
-from cpgroups.perm import (Perm, PermGroup, alternating_group,
+from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, Perm, PermGroup,
+                           _conjugator, alternating_group,
                            aut_group_search, cyclic_group, derived_subgroup,
                            dihedral_group, direct_product, klein_four_group,
                            quotient_regular_action, symmetric_group,
@@ -17,6 +21,7 @@ from cpgroups.perm import (Perm, PermGroup, alternating_group,
 
 from corpus import small_groups
 from oracles import abelian_invariants
+from test_perm import aut_reference_corpus, elementary_abelian
 
 TREFOIL = parse_presentation("< a, b | a^3 = b^2 >")
 
@@ -399,3 +404,98 @@ def test_s6_pipeline():
         verify_s6_pipeline(3)
     with pytest.raises(ValueError):
         verify_s6_pipeline(14)
+
+
+def element_action(aset):
+    """AutomorphismSet.as_perm_group as it was before it acted on a few
+    generating classes: the search chain itself, acting on all |G| element
+    indices. This, the two functions after it and the two pipelines below
+    are kept as the reference for the small action."""
+    ambient = PermGroup(len(aset.elements), (), degree_cap=None)
+    return ambient._make_subgroup(aset.chain.strong, aset.chain)
+
+
+def element_conjugation_map(aset, g):
+    """The inner automorphism x -> g x g^-1 as an element permutation."""
+    conjugate = _conjugator(g)
+    return Perm._raw(tuple(aset._index[conjugate(x)] for x in aset.elements))
+
+
+def element_inner_maps(aset):
+    return tuple(element_conjugation_map(aset, g) for g in aset.base_group.generators)
+
+
+def element_action_verdict(group, p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
+    """cp_group_verdict on the degree-|G| action."""
+    sub = cp_subgroup(group, p)
+    cert = {"p": p, "group_order": group.order(), "cp_order": sub.order()}
+    if sub.order() == group.order():
+        return CpVerdict(IS_CP_GROUP, SELF_WITNESS, cert)
+    aset = _complete_aut_search(group, aut_budget)
+    cert["center_order"] = aset.center_order
+    cert["aut_order"] = aset.order()
+    cert["inner_order"] = aset.inner_order()
+    if cert["center_order"] == 1 and cert["aut_order"] == cert["inner_order"]:
+        return CpVerdict(NOT_CP_GROUP, COMPLETE_CRITERION, cert)
+    cp_aut = cp_subgroup(element_action(aset), p)
+    cert["cp_of_aut_order"] = cp_aut.order()
+    contained = all(m in cp_aut for m in element_inner_maps(aset))
+    cert["inner_in_cp_of_aut"] = contained
+    if not contained:
+        return CpVerdict(NOT_CP_GROUP, AUT_CRITERION, cert)
+    return CpVerdict(INCONCLUSIVE, NO_REASON, cert)
+
+
+def element_action_s6_pipeline(p, aut_budget=DEFAULT_AUT_NODE_BUDGET):
+    """verify_s6_pipeline on the degree-720 action, without its checks."""
+    aset = _complete_aut_search(symmetric_group(6), aut_budget)
+    aut_perm = element_action(aset)
+    aut_order = aset.order()
+    inner_order = aset.inner_order()
+    cp_aut = cp_subgroup(aut_perm, p)
+    image_gens = [element_conjugation_map(aset, g) for g in alternating_group(6).generators]
+    alt_image = PermGroup(aut_perm.degree, image_gens, degree_cap=None)
+    inner_maps = element_inner_maps(aset)
+    inner_group = PermGroup(aut_perm.degree, inner_maps, degree_cap=None)
+    outer10 = any(m.order() == 10 and m not in inner_group for m in aset.maps)
+    aut_over_inner = aut_order // inner_order
+    aut_over_cp = aut_order // cp_aut.order()
+    return S6PipelineReport(
+        p=p, aut_order=aut_order, inner_order=inner_order,
+        cp_of_aut_order=cp_aut.order(),
+        cp_equals_alternating_image=cp_aut.equals_subgroup(alt_image),
+        inner_contained_in_cp=all(m in cp_aut for m in inner_maps),
+        outer_order_10_exists=outer10,
+        aut_over_inner_index=aut_over_inner, aut_over_cp_index=aut_over_cp,
+        counting_contradiction=aut_over_inner % aut_over_cp != 0,
+        verdict=NOT_CP_GROUP)
+
+
+def test_s6_pipeline_matches_element_action_reference():
+    for p in range(2, 13, 2):
+        assert verify_s6_pipeline(p) == element_action_s6_pipeline(p), p
+
+
+def test_verdicts_match_element_action_reference():
+    cases = [(name, g) for name, g, budget in aut_reference_corpus()
+             if budget == DEFAULT_AUT_NODE_BUDGET]
+    cases += [("S6", symmetric_group(6)), ("D4", dihedral_group(4)),
+              ("Z2^4", elementary_abelian(2, 4))]
+    for name, group in cases:
+        for p in range(2, 7):
+            assert cp_group_verdict(group, p) == element_action_verdict(group, p), (name, p)
+        aset = aut_group_search(group)
+        action = aset.as_perm_group()
+        assert action.order() == aset.order() == len(aset.maps), name
+        assert action.degree < len(aset.elements), name  # the identity is left out
+
+
+def test_small_action_degrees():
+    # the transpositions and triple transpositions of S_6, the double
+    # transpositions of A_6
+    for group, degree in ((symmetric_group(6), 30), (alternating_group(6), 45)):
+        aset = aut_group_search(group)
+        action = aset.as_perm_group()
+        assert action.degree == degree
+        assert action.order() == aset.order() == len(aset.maps) == 1440
+        assert all(m.degree == degree for m in aset.inner_maps)

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from cpgroups import perm
 from cpgroups.cp import cp_subgroup
 from cpgroups.errors import BudgetExhausted, CapExceeded
 from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
@@ -370,7 +371,11 @@ def test_aut_set_is_closed_and_contains_inner():
     rng = random.Random(9)
     for _ in range(20):
         m1, m2 = rng.choice(aset.maps), rng.choice(aset.maps)
-        assert (m1 * m2) in perm_group
+        assert (m1 * m2) in aset.maps
+        # the permutation group acts on a few classes of A_4, and
+        # restricting the maps to them is a homomorphism into it
+        assert aset._restrict(m1 * m2) == aset._restrict(m1) * aset._restrict(m2)
+        assert aset._restrict(m1 * m2) in perm_group
     for x in g.generators:
         assert aset.conjugation_map(x) in perm_group
 
@@ -899,6 +904,21 @@ def test_aut_search_matches_table_reference():
             # S_6's 324 nodes it is already the whole group, unproven)
             assert fast.nodes_used == budget, (name, budget)
             assert set(maps) <= references[name], (name, budget)
+
+
+def test_aut_action_raises_when_its_points_do_not_generate(monkeypatch):
+    # Aut(D_4) fixes the centre of D_4, so acting on the centre alone would
+    # give the trivial group: the action must refuse, not report order 1
+    d4 = PermGroup(4, dihedral_group(4).generators)
+    aset = aut_group_search(d4)
+    centre = [i for i, x in enumerate(aset.elements)
+              if not x.is_identity() and x in center(d4)]
+    assert len(centre) == 1 and aset.order() == 8
+    monkeypatch.setattr(perm, "_generating_classes", lambda elements, fingerprint: centre)
+    with pytest.raises(RuntimeError, match="not faithful"):
+        aset.as_perm_group()
+    with pytest.raises(RuntimeError, match="not faithful"):
+        aset.conjugation_map(d4.generators[0])
 
 
 def test_center_order_and_inner_maps_come_from_the_search():
