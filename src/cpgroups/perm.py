@@ -41,18 +41,19 @@ and by prefix orders: images c_0..c_k must generate a subgroup of order
 |<g_0..g_k>|. |Z(G)| is the number of one-element classes.
 It never builds the |G| x |G| table: right multiplication by an element is
 a column built along the walk's tree, only for the images being verified
-and their ancestors. Every strong generator is verified against every edge
-of the Cayley graph, and a complete result must contain all inner
-automorphisms. The result lists its maps lazily from the chain. Its
-permutation group acts on a few whole fingerprint classes that generate G
-instead of on all of G, which is faithful: for S_6, on 30 points, not 720.
+and their ancestors. One edge check, `verify`, passes every map handed
+out: the strong generators, and the conjugations behind the classes, the
+inner maps and the check that a complete result holds them all. The
+result lists its maps lazily from the chain. Its permutation group acts on
+a few whole fingerprint classes that generate G instead of on all of G,
+which is faithful: for S_6, on 30 points, not 720.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import CapExceeded
@@ -186,17 +187,6 @@ def _invert(images):
     for i, x in enumerate(images):
         inv[x] = i
     return tuple(inv)
-
-
-def _conjugator(g):
-    """The map x -> g x g^-1, one pass over the images of x per call."""
-    gi = g.images
-    ginv = _invert(gi)
-
-    def conjugate(x):
-        e = x.images
-        return Perm._raw(tuple([ginv[e[p]] for p in gi]))
-    return conjugate
 
 
 def commutator(a, b):
@@ -740,6 +730,8 @@ class AutomorphismSet:
     contains all inner automorphisms. When the node budget ran out,
     `complete` is false and the group is the part found so far.
     `center_order` is |Z(G)|, counted off the search's conjugacy classes.
+    The classes and the inner maps come from conjugations that the search
+    verified exactly as it verified its strong generators.
 
     `as_perm_group`, `conjugation_map` and `inner_maps` (the conjugations
     by the base group's generators) act on a small point set S that every
@@ -748,7 +740,7 @@ class AutomorphismSet:
     """
 
     def __init__(self, base_group, chain, complete, elements, index, nodes_used,
-                 center_order, fingerprint):
+                 center_order, fingerprint, conjugation):
         self.base_group = base_group
         self.chain = chain
         self.maps = _ChainElements(chain)
@@ -758,10 +750,10 @@ class AutomorphismSet:
         self.center_order = center_order
         self._index = index
         self._fingerprint = fingerprint
+        self._conjugation = conjugation
         self._points = None  # S, as element indices in increasing order
         self._pos = None  # _pos[x]: the position of element x in S
         self._perm_group = None
-        self._inner_maps = None
 
     def order(self):
         return self.chain.order()
@@ -773,23 +765,21 @@ class AutomorphismSet:
         """Image of an arbitrary group element under one of the maps."""
         return self.elements[automorphism.images[self._index[x]]]
 
-    @property
+    @cached_property
     def inner_maps(self):
         """The conjugations by the base group's generators, as permutations
         of S."""
-        if self._inner_maps is None:
-            self._inner_maps = tuple(self.conjugation_map(g)
-                                     for g in self.base_group.generators)
-        return self._inner_maps
+        return tuple(self.conjugation_map(g) for g in self.base_group.generators)
 
     def conjugation_map(self, g):
         """The inner automorphism x -> g x g^-1, as a permutation of S: an
-        element of as_perm_group()."""
+        element of as_perm_group(): the search's conjugation by g, verified
+        against the Cayley graph like a strong generator, restricted to S.
+        ValueError if g is not in the base group."""
+        if g not in self.base_group:
+            raise ValueError(f"{format_cycles(g)} is not in the group")
         self.as_perm_group()
-        conjugate = _conjugator(g)
-        elements, index, pos = self.elements, self._index, self._pos
-        return Perm._raw(tuple([pos[index[conjugate(elements[x])]]
-                                for x in self._points]))
+        return self._restrict(Perm._raw(self._conjugation(g)))
 
     def _restrict(self, automorphism):
         # one of the maps, as the permutation of S that it induces
@@ -898,35 +888,6 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             c = cols[j] = [r[x] for x in c]
         return c
 
-    # |C(x)| = |G| / |x^G|; the classes are the orbits of conjugation by the
-    # kept generators
-    conjugators = [_conjugator(g) for g in kept]
-    cent = [0] * n
-    for i in range(n):
-        if cent[i]:
-            continue
-        orbit = [i]
-        cent[i] = -1
-        for x in orbit:  # the list grows while it is walked
-            for conjugate in conjugators:
-                y = index[conjugate(elems[x])]
-                if not cent[y]:
-                    cent[y] = -1
-                    orbit.append(y)
-        for x in orbit:
-            cent[x] = n // len(orbit)
-    fingerprint = list(zip([x.order() for x in elems], cent))
-
-    candidates = [[i for i in range(n) if fingerprint[i] == fingerprint[gi]]
-                  for gi in gidx]
-    # targets[k][l]: fingerprint of g_l g_k. It is also that of g_k g_l, a
-    # conjugate, so one order of each product is checked.
-    targets = [[fingerprint[rows[gidx[l]][k]] for l in range(k)] for k in range(m)]
-    # orders[k] = |<g_0..g_k>|, which an automorphism keeps; the fingerprint
-    # holds it for k = 0, and verify decides k = m - 1
-    orders = {k: _StabilizerChain(group.degree, kept[:k + 1]).order()
-              for k in range(1, m - 1)}
-
     # the walk's edges x -> x * g_k in walk order, flagging the tree edge
     # that first reaches each element
     edges = [(x, k, y, tree[y] == (x, k))
@@ -950,6 +911,42 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             elif phi[y] != v:
                 return None
         return tuple(phi)
+
+    def conjugation(g):
+        # x -> g x g^-1 is an automorphism: verify extends and checks it
+        phi = verify([index[g * h * g.inverse()] for h in kept])
+        if phi is None:
+            raise RuntimeError("a conjugation failed the edge check")
+        return phi
+
+    # |C(x)| = |G| / |x^G|; the classes are the orbits of conjugation by the
+    # kept generators
+    conjugations = [conjugation(g) for g in kept]
+    cent = [0] * n
+    for i in range(n):
+        if cent[i]:
+            continue
+        orbit = [i]
+        cent[i] = -1
+        for x in orbit:  # the list grows while it is walked
+            for phi in conjugations:
+                y = phi[x]
+                if not cent[y]:
+                    cent[y] = -1
+                    orbit.append(y)
+        for x in orbit:
+            cent[x] = n // len(orbit)
+    fingerprint = list(zip([x.order() for x in elems], cent))
+
+    candidates = [[i for i in range(n) if fingerprint[i] == fingerprint[gi]]
+                  for gi in gidx]
+    # targets[k][l]: fingerprint of g_l g_k. It is also that of g_k g_l, a
+    # conjugate, so one order of each product is checked.
+    targets = [[fingerprint[rows[gidx[l]][k]] for l in range(k)] for k in range(m)]
+    # orders[k] = |<g_0..g_k>|, which an automorphism keeps; the fingerprint
+    # holds it for k = 0, and verify decides k = m - 1
+    orders = {k: _StabilizerChain(group.degree, kept[:k + 1]).order()
+              for k in range(1, m - 1)}
 
     chain = _StabilizerChain(n)
     for b in gidx:
@@ -1005,12 +1002,14 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             if phi is not None:
                 chain._place(phi, i)
 
+    # the result keeps `conjugation`, so it must not keep the backtrack's columns
+    cols.clear()
+    cols[0] = range(n)
     result = AutomorphismSet(group, chain, not truncated, elems, index, nodes,
-                             cent.count(n), fingerprint)
+                             cent.count(n), fingerprint, conjugation)
     if result.complete:
-        for conjugate in map(_conjugator, group.generators):
-            if not chain.contains(Perm._raw(tuple([index[conjugate(x)] for x in elems]))):
-                raise RuntimeError("search missed an inner automorphism")
+        if not all(chain.contains(Perm._raw(conjugation(g))) for g in group.generators):
+            raise RuntimeError("search missed an inner automorphism")
         group._aut = result
     return result
 

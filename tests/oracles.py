@@ -2,9 +2,26 @@
 
 Everything here is deliberately naive and independent of the library's own
 algorithms: closures by breadth-first multiplication of image tuples,
-abelian invariants by counting element orders, determinants by cofactor
-expansion.
+conjugates by composing image tuples, abelian invariants by counting
+element orders, determinants by cofactor expansion.
 """
+
+from cpgroups.perm import Perm
+
+
+def _conjugator(g):
+    """The map x -> g x g^-1 on permutations, one pass over the images of x
+    per call: the element-level reference for the conjugacy classes and
+    inner maps that the automorphism search derives from its verified maps."""
+    gi = g.images
+    ginv = [0] * len(gi)
+    for i, x in enumerate(gi):
+        ginv[x] = i
+
+    def conjugate(x):
+        e = x.images
+        return Perm._raw(tuple([ginv[e[p]] for p in gi]))
+    return conjugate
 
 
 def mulclose(perms):

@@ -13,14 +13,14 @@ from cpgroups.fp import FpPresentation, Word, abelianization, parse_presentation
 from cpgroups.homalg import AbelianStructure, IntMatrix, cokernel_structure, \
     cyclic, tensor_with_zp
 from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, Perm, PermGroup,
-                           _conjugator, alternating_group,
+                           alternating_group,
                            aut_group_search, cyclic_group, derived_subgroup,
                            dihedral_group, direct_product, klein_four_group,
                            quotient_regular_action, symmetric_group,
                            trivial_group)
 
 from corpus import small_groups
-from oracles import abelian_invariants
+from oracles import _conjugator, abelian_invariants
 from test_perm import aut_reference_corpus, elementary_abelian
 
 TREFOIL = parse_presentation("< a, b | a^3 = b^2 >")

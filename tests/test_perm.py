@@ -8,7 +8,7 @@ from cpgroups import perm
 from cpgroups.cp import cp_subgroup
 from cpgroups.errors import BudgetExhausted, CapExceeded
 from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
-                           Perm, PermGroup, _conjugator, _first_appearance,
+                           Perm, PermGroup, _first_appearance,
                            _reduce_generators, _StabilizerChain,
                            alternating_group, aut_group_search, center,
                            centralizer, commutator,
@@ -19,7 +19,7 @@ from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, DEFAULT_AUT_ORDER_CAP,
                            trivial_group)
 
 from corpus import coprime_product, small_groups
-from oracles import mulclose
+from oracles import _conjugator, mulclose
 
 
 def test_cycle_parse_and_format():
@@ -932,6 +932,50 @@ def test_center_order_and_inner_maps_come_from_the_search():
         assert aset.center_order == center(group).order(), name
         assert aset.inner_maps == tuple(aset.conjugation_map(g)
                                         for g in group.generators), name
+
+
+def test_conjugations_match_the_element_reference():
+    # the search's classes and inner maps come from its verified maps; here
+    # they are formed again by conjugating Perm objects
+    seen = set()
+    for name, group, budget in aut_reference_corpus():
+        aset = aut_group_search(group, budget)
+        if not aset.complete or name in seen:
+            continue
+        seen.add(name)
+        elements, index = aset.elements, aset._index
+        n = len(elements)
+        conjugates = [_conjugator(g) for g in group.generators]
+        orbit_size = {}
+        for i in range(n):
+            if i in orbit_size:
+                continue
+            orbit, frontier = {i}, [i]
+            for x in frontier:  # the list grows while it is walked
+                for conjugate in conjugates:
+                    y = index[conjugate(elements[x])]
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            orbit_size.update(dict.fromkeys(orbit, len(orbit)))
+        assert aset._fingerprint == [(x.order(), n // orbit_size[i])
+                                     for i, x in enumerate(elements)], name
+        aset.as_perm_group()
+        for g in elements[::1 + (n - 1) // 200]:  # every k-th one past 200
+            conjugate = _conjugator(g)
+            expected = tuple([aset._pos[index[conjugate(elements[x])]]
+                              for x in aset._points])
+            assert aset.conjugation_map(g).images == expected, (name, g)
+
+
+def test_conjugation_map_refuses_an_element_outside_the_group():
+    # conjugation by (1 2) inverts Z_3, an automorphism that is not inner
+    z3 = PermGroup(3, [parse_cycles("(1 2 3)")])
+    aset = aut_group_search(z3)
+    assert aset.inner_order() == 1 and aset.order() == 2
+    with pytest.raises(ValueError, match="not in the group"):
+        aset.conjugation_map(parse_cycles("(1 2)", 3))
+    assert aset.conjugation_map(parse_cycles("(1 3 2)")).is_identity()
 
 
 def test_commutator():
