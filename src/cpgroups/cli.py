@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from itertools import chain
 from math import lcm
 
 from . import catalog
@@ -96,9 +97,60 @@ def _flatten(value, prefix, out):
         out.append((prefix, json.dumps(value)))
 
 
+def _json(value, pad, out):
+    """Append json.dumps(value, indent=2), for a value nested at indentation
+    `pad`, to the list `out` in pieces, which are joined once.
+
+    Dicts with str keys and lists recurse. A list of plain ints or of
+    strs, alone or as the rows of a table, is written with str.join. Every
+    scalar, key and other container goes through json.dumps (ints through
+    int.__repr__, as json does), so the bytes are the same. (indent=2 on
+    the whole payload would run it all through json's pure-Python
+    encoder.)"""
+    if type(value) is int:
+        out.append(str(value))
+        return
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))  # indent changes containers only
+        return
+    inner = pad + "  "
+    types = set(map(type, value))
+    if type(value) is dict and value and types == {str}:
+        head = "{\n" + inner
+        for k, v in value.items():
+            out.append(f"{head}{json.dumps(k)}: ")
+            _json(v, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif type(value) not in (list, tuple) or not value:
+        out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
+    elif types == {int}:
+        out.append(_lines(map(str, value), pad))
+    elif types == {str}:
+        out.append(_lines(map(json.dumps, value), pad))
+    elif types <= {list, tuple} and all(value) \
+            and set(map(type, chain.from_iterable(value))) == {int}:
+        out.append(_lines([_lines(map(str, row), inner) for row in value], pad))
+    else:
+        head = "[\n" + inner
+        for v in value:
+            out.append(head)
+            _json(v, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + pad + "]")
+
+
+def _lines(items, pad):
+    # a list of already encoded items, one per line
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
 def render(payload, fmt):
     if fmt == "json":
-        return json.dumps(payload, indent=2)
+        out = []
+        _json(payload, "", out)
+        return "".join(out)
     lines = []
     _flatten(payload, "", lines)
     return "\n".join(f"{k}={v}" for k, v in lines)
@@ -212,7 +264,7 @@ def cmd_coset_enum(args):
     return {"presentation": str(presentation),
             "subgroup": [w.render(presentation.generators) for w in words],
             "index": table.index,
-            "table": [list(row) for row in table.rows]}, 0
+            "table": table.rows}, 0
 
 
 def cmd_rs(args):

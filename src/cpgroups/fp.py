@@ -12,10 +12,13 @@ standardized: cosets are numbered in first appearance order, reading the
 table row by row with columns interleaved as g, g^-1, next generator, and
 so on, so that tables, spanning trees, and Schreier generators are
 reproducible across runs. One breadth-first walk, the perm module's
-`_first_appearance`, numbers both enumerated tables (dead cosets drop out
-on the way) and tables read off an action, as it numbers group elements,
-Cayley-graph columns and the cosets of G/N there. Words longer than
-DEFAULT_MAX_COSETS letters are refused before they are expanded.
+`_first_appearance`, numbers both enumerated tables (each coset's live
+root is resolved once, in one list, and dead cosets drop out on the way)
+and tables read off an action, as it numbers group elements, Cayley-graph
+columns and the cosets of G/N there. Words longer than DEFAULT_MAX_COSETS
+letters are refused before they are expanded. The enumerator keeps each
+distinct rotation of each relator once: a relator that is a k-th power of
+its primitive root has only len/k of them, so `a^10000` has one.
 
 The lowest undefined entry is found from a cursor rather than by a rescan
 from coset 0, so choosing the next definition no longer costs a pass over
@@ -24,17 +27,23 @@ only fill entries or append rows, and the one statement that empties an
 entry of a possibly live row (in coincidence processing) lowers the cursor
 to that row, so the cursor finds exactly the entry a rescan would.
 
-Tables validate their own invariants on construction: every column is a
-bijection, cosets appear in order, every relator traces to the identity at
-every coset, and the subgroup words fix coset 0. The scan that checks the
-order records each coset's first entry as its spanning-tree edge, which
-coset representatives and Schreier edges are read from.
+Tables validate their own invariants on construction, on whole columns
+rather than entry by entry: every column is a bijection, undone by its
+inverse column; cosets first appear in order, and each coset's first entry
+is its spanning-tree edge, which coset representatives and Schreier edges
+are read from; every relator acts as the identity on the cosets; and the
+subgroup words fix coset 0. A relator's action is the columns of its
+syllables composed as lists, with a power g^e, and a relator that is a
+power of its primitive root, composed by repeated squaring: log e
+compositions of the columns instead of e steps per coset. A table that
+fails is read entry by entry to name its first fault.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
 from .homalg import AbelianStructure, IntMatrix, cokernel_structure
@@ -117,10 +126,50 @@ def _columns(word):
     A word of more than DEFAULT_MAX_COSETS letters raises CapExceeded before
     it is expanded.
     """
+    _check_letter_count(word)
+    return tuple(c for g, e in word.syllables for c in (2 * g + (e < 0),) * abs(e))
+
+
+def _check_letter_count(word):
     letters = word.letter_count()
     if letters > DEFAULT_MAX_COSETS:
         raise CapExceeded(f"word of {letters} letters exceeds cap {DEFAULT_MAX_COSETS}")
-    return tuple(c for g, e in word.syllables for c in (2 * g + (e < 0),) * abs(e))
+
+
+def _primitive_period(seq):
+    """The length of the primitive root of a nonempty sequence: the least
+    k > 0 with seq == seq[:k] * (len(seq) // k). It is the least rotation
+    that maps seq to itself, found by one string search."""
+    code = {}
+    s = "".join([chr(code.setdefault(x, len(code))) for x in seq])
+    return (s + s).find(s, 1)
+
+
+def _power_action(perm, e):
+    """perm composed with itself e >= 1 times, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = perm if out is None else [perm[x] for x in out]
+        e >>= 1
+        if not e:
+            return out
+        perm = [perm[x] for x in perm]
+
+
+def _word_action(columns, syllables, identity):
+    """The map a -> the coset that tracing the word from a reaches, as a
+    list: the columns of its syllables composed in order. A syllable g^e,
+    and a word that is a power of its primitive root, take log e
+    compositions by repeated squaring."""
+    if not syllables:
+        return identity
+    k = _primitive_period(syllables)
+    out = identity
+    for g, e in syllables[:k]:
+        step = _power_action(columns[2 * g + (e < 0)], abs(e))
+        out = step if out is identity else [step[x] for x in out]
+    return _power_action(out, len(syllables) // k)
 
 
 @dataclass(frozen=True)
@@ -268,7 +317,13 @@ class CosetTable:
 
     Rows are cosets (0 is the subgroup itself); columns are interleaved
     g0, g0^-1, g1, g1^-1, ... The table is closed, compressed, and numbered
-    in first appearance order. All invariants are checked on construction.
+    in first appearance order. All invariants are checked on construction,
+    by list operations on whole columns (taken from the rows as one flat
+    list): each odd column composed with the even one before it is the
+    identity, the cosets first appear in order, and each relator's action,
+    composed from its syllables' columns with powers by repeated squaring,
+    fixes every coset. Only a failing table is read entry by entry, to
+    name the first fault in row order.
     """
 
     def __init__(self, presentation, subgroup_words, rows):
@@ -282,38 +337,66 @@ class CosetTable:
         return len(self.rows)
 
     def _validate(self):
-        n = len(self.rows)
-        cols = 2 * self.presentation.ngens
+        rows = self.rows
+        n = len(rows)
+        width = 2 * self.presentation.ngens
         if n == 0:
             raise ValueError("a coset table has at least one coset")
-        if any(len(row) != cols for row in self.rows):
+        if any(len(row) != width for row in rows):
             raise ValueError("row width disagrees with the generator count")
+        flat = list(chain.from_iterable(rows))
+        columns = [flat[c::width] for c in range(width)]  # columns[c][a] = rows[a][c]
+        identity = list(range(n))
+        # Cosets 1, 2, ..., n - 1 first appear in that order, which also puts
+        # every entry in range; and each column c ^ 1 undoes column c, so
+        # both are permutations, inverse to each other.
+        appearing = dict.fromkeys(flat)
+        appearing.pop(0, None)
+        if not (list(appearing) == identity[1:]
+                and all([columns[c + 1][t] for t in columns[c]] == identity
+                        for c in range(0, width, 2))):
+            self._first_fault()
         # parent[t] is the entry (a, c) at which coset t first appears; a
-        # row is scanned only after its coset has appeared, so a < t
+        # row is read only after its coset has appeared, so a < t
         parent = [None]
+        i = -1
+        for t in identity[1:]:
+            i = flat.index(t, i + 1)  # first appearances come in order
+            a, c = divmod(i, width)
+            if a >= t:
+                self._first_fault()
+            parent.append((a, c))
+        self._parent = tuple(parent)
+        for rel in self.presentation.relators:
+            _check_letter_count(rel)  # refused like any word too long to expand
+            action = _word_action(columns, rel.syllables, identity)
+            if action != identity:
+                a = next(a for a in identity if action[a] != a)
+                raise ValueError(f"relator does not close at coset {a}")
+        for w in self.subgroup_words:
+            if self.trace(0, w) != 0:
+                raise ValueError("subgroup word does not fix coset 0")
+
+    def _first_fault(self):
+        """Raise for the first entry, in row-major order, that breaks range,
+        bijectivity or first-appearance order; the column checks in
+        `_validate` found that one does."""
+        rows = self.rows
+        n = len(rows)
         seen_max = 0
-        for a, row in enumerate(self.rows):
+        for a, row in enumerate(rows):
             if a > seen_max:
                 raise ValueError("table is not in first-appearance order")
             for c, t in enumerate(row):
                 if not 0 <= t < n:
                     raise ValueError(f"entry {t} out of range at ({a}, {c})")
-                if self.rows[t][c ^ 1] != a:
+                if rows[t][c ^ 1] != a:
                     raise ValueError(f"column {c} is not a bijection at coset {a}")
                 if t > seen_max:
                     if t != seen_max + 1:
                         raise ValueError("table is not in first-appearance order")
                     seen_max = t
-                    parent.append((a, c))
-        self._parent = tuple(parent)
-        for rel in self.presentation.relators:
-            columns = _columns(rel)
-            for a in range(n):
-                if self._walk(a, columns) != a:
-                    raise ValueError(f"relator does not close at coset {a}")
-        for w in self.subgroup_words:
-            if self.trace(0, w) != 0:
-                raise ValueError("subgroup word does not fix coset 0")
+        raise RuntimeError("the column checks and the entry scan disagree")  # unreachable
 
     def _walk(self, coset, columns):
         rows = self.rows
@@ -378,14 +461,17 @@ class _Enumerator:
         # every live row below the cursor is complete (see first_undefined)
         self.cursor = 0
         self.deductions = []
+        # each distinct cyclic rotation of a relator, bucketed by its first
+        # letter in relator order; rotation k + period repeats rotation k
         self.rot_by_first = {}
+        seen = set()
         for rel in presentation.relators:
             letters = _columns(rel)
-            for k in range(len(letters)):
+            for k in range(_primitive_period(letters) if letters else 0):
                 rot = letters[k:] + letters[:k]
-                bucket = self.rot_by_first.setdefault(rot[0], [])
-                if rot not in bucket:
-                    bucket.append(rot)
+                if rot not in seen:
+                    seen.add(rot)
+                    self.rot_by_first.setdefault(rot[0], []).append(rot)
         self.subgroup_letters = [_columns(w) for w in subgroup_words]
 
     def find(self, i):
@@ -531,9 +617,11 @@ class _Enumerator:
             if pos is None:
                 break
             self.define(*pos)
-        # every live coset has a row, so the state cap never trips here
-        table, find = self.table, self.find
-        return _first_appearance(0, self.cols, lambda a, c: find(table[a][c]),
+        # each coset's live root, resolved once; every live coset has a
+        # row, so the state cap never trips here
+        table, p, find = self.table, self.p, self.find
+        root = [a if p[a] == a else find(a) for a in range(len(p))]
+        return _first_appearance(0, self.cols, lambda a, c: root[table[a][c]],
                                  len(table))[2]
 
 

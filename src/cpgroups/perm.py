@@ -877,15 +877,15 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     # tree. Only the images being verified, and their ancestors, get one.
     cols = {0: range(n)}
 
-    def col(j):
+    def col(j, memo):
         path = []
-        while j not in cols:
+        while j not in memo:
             path.append(j)
             j = tree[j][0]
-        c = cols[j]
+        c = memo[j]
         for j in reversed(path):
             r = right[tree[j][1]]
-            c = cols[j] = [r[x] for x in c]
+            c = memo[j] = [r[x] for x in c]
         return c
 
     # the walk's edges x -> x * g_k in walk order, flagging the tree edge
@@ -893,11 +893,11 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
     edges = [(x, k, y, tree[y] == (x, k))
              for x, row in enumerate(rows) for k, y in enumerate(row)]
 
-    def verify(img):
+    def verify(img, memo=cols):
         # phi(x g_k) = phi(x) img_k: tree edges define phi, each value at
         # most once (phi is injective), and every other edge is checked as
         # soon as the walk reaches it
-        img_cols = [col(c) for c in img]
+        img_cols = [col(c, memo) for c in img]
         phi = [0] * n
         taken = bytearray(n)
         taken[0] = 1  # the identity, element 0, is its own image
@@ -912,9 +912,9 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
                 return None
         return tuple(phi)
 
-    def conjugation(g):
+    def conjugation(g, memo=cols):
         # x -> g x g^-1 is an automorphism: verify extends and checks it
-        phi = verify([index[g * h * g.inverse()] for h in kept])
+        phi = verify([index[g * h * g.inverse()] for h in kept], memo)
         if phi is None:
             raise RuntimeError("a conjugation failed the edge check")
         return phi
@@ -1002,11 +1002,17 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
             if phi is not None:
                 chain._place(phi, i)
 
-    # the result keeps `conjugation`, so it must not keep the backtrack's columns
+    # the result keeps the memo, so it must not keep the backtrack's
+    # columns, and a conjugation asked of it later memoizes in a copy that
+    # ends with the call
     cols.clear()
     cols[0] = range(n)
+
+    def later_conjugation(g):
+        return conjugation(g, dict(cols))
+
     result = AutomorphismSet(group, chain, not truncated, elems, index, nodes,
-                             cent.count(n), fingerprint, conjugation)
+                             cent.count(n), fingerprint, later_conjugation)
     if result.complete:
         if not all(chain.contains(Perm._raw(conjugation(g))) for g in group.generators):
             raise RuntimeError("search missed an inner automorphism")

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -341,6 +342,37 @@ def _doc_example_ids(examples):
 def test_docs_examples_reproduce(capsys, command, code, expected):
     assert cli.run(shlex.split(command)) == int(code)
     assert capsys.readouterr().out == expected + "\n"
+
+
+# hand-made payloads for the JSON renderer: empty and nested containers,
+# tuples, bools among ints, long and negative ints, None, floats, non-str
+# keys, a dict subclass, and strings with escapes and non-ASCII text
+RENDER_CORPUS = [
+    {}, [], (), None, 0, -7, 2.5, "x", True,
+    {"a": {}, "b": [], "c": (), "d": {"e": {"f": []}}},
+    [[]], [[], [1]], [[1, 2], [3]], ((1, 2), (3, 4)), [[1, 2], (3, 4)],
+    [True, False, 1], [1, True], [[1, True], [2, 3]], [[True]], [[None]],
+    [1, [2, 3]], [[1, 2], [3, 4.0]], [[1, 2], "34"], [[-1, 0], [10 ** 100]],
+    ["plain", 'ünï\t"q"\n', ""], ("t",), [["a", "b"], ["c"]], ["s", 1, None],
+    {"big": 10 ** 100, "neg": -10 ** 100, "ints": [-1, 0, -(10 ** 100)]},
+    {"floats": [0.1, -0.0, 1e300, 1e-300, float("inf"), float("nan")]},
+    {"esc": 'tab\t "quote" \\ back\nnewline \x00 \u2028', "uni": "Ωmega ünï 😀"},
+    {'key "q"\n': 1, "ünï": [None, 1.0, "x", {"deep": [[1, 2], [3, 4]]}]},
+    {1: "int key", 2.5: None}, {"a": {None: 1, True: [1, 2]}},
+    OrderedDict([("b", [1, 2]), ("a", OrderedDict())]),
+    {"rows": [[0, 1], [1, 0]], "nested": [{"t": ((0,), (1,))}, [[]], [{}]]},
+]
+
+
+def test_json_render_matches_indented_dumps():
+    # the reference is the renderer it replaced, json.dumps(indent=2)
+    payloads = []
+    for command, _, _ in DOC_EXAMPLES:
+        args = cli.build_parser().parse_args(shlex.split(command))
+        payloads.append(args.func(args)[0])
+    assert len(payloads) == 20
+    for payload in payloads + RENDER_CORPUS:
+        assert cli.render(payload, "json") == json.dumps(payload, indent=2), payload
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from cpgroups.cp import cp_kernel_coset_table
 from cpgroups.errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
 from cpgroups.fp import (DEFAULT_MAX_COSETS, CosetTable, FpPresentation, Word,
-                         _columns, _Enumerator, abelianization, evaluate_word,
+                         _columns, _Enumerator, abelianization,
+                         coset_table_from_action, evaluate_word,
                          kernel_coset_table, parse_presentation, parse_word,
                          reidemeister_schreier, todd_coxeter, verify_hom)
 from cpgroups.homalg import AbelianStructure, Z
-from cpgroups.perm import Perm, parse_cycles
+from cpgroups.perm import Perm, _first_appearance, parse_cycles
 
 from oracles import mulclose
 
@@ -277,17 +279,66 @@ def cursor_corpus():
         yield p, words
 
 
+def find_per_entry_rows(enum):
+    """The rows of a closed enumeration as `_Enumerator.run` walked them
+    before it resolved each coset's root once: `find` on every entry. Kept
+    as the reference for the resolved-root walk."""
+    table = enum.table
+    return _first_appearance(0, enum.cols, lambda a, c: enum.find(table[a][c]),
+                             len(table))[2]
+
+
 def test_cursor_enumeration_matches_full_rescan():
-    count = 0
+    count = with_dead_cosets = 0
     for p, words in cursor_corpus():
         fast = _Enumerator(p, words, 10_000)
         slow = RescanEnumerator(p, words, 10_000)
         rows = fast.run()
         assert rows == slow.run(), (p, words)
         assert [tuple(r) for r in rows] == compacted_standardized_rows(fast), (p, words)
+        assert rows == find_per_entry_rows(fast), (p, words)
         assert len(fast.table) == len(slow.table), (p, words)
         count += 1
+        with_dead_cosets += len(fast.table) > len(rows)
     assert count == 8 + 16 + 32 + 2 * 4 + 36
+    assert with_dead_cosets >= 20
+
+
+def list_scan_rotations(presentation):
+    """The relator rotations as `_Enumerator.__init__` built them before it
+    deduplicated by primitive period: every rotation of every relator, each
+    looked up in its bucket by a list scan. Kept as the reference for the
+    buckets' contents and order, which decide the scan order."""
+    rot_by_first = {}
+    for rel in presentation.relators:
+        letters = _columns(rel)
+        for k in range(len(letters)):
+            rot = letters[k:] + letters[:k]
+            bucket = rot_by_first.setdefault(rot[0], [])
+            if rot not in bucket:
+                bucket.append(rot)
+    return rot_by_first
+
+
+def test_rotation_buckets_match_list_scan_reference():
+    presentations = [p for p, _ in cursor_corpus()] + list(INFINITE.values())
+    presentations += [realization(text, gens)[0] for text, gens in REALIZATIONS]
+    presentations += [parse_presentation(text) for text in (
+        # proper powers, cyclic conjugates of one another, repeats, the
+        # empty relator and an inverse rotation
+        "< a, b | a b a b, b a b a, a^6, a^2 a^-2, 1, a b a^-1 b^-1, b a b^-1 a^-1 >",
+        "< a, b | a b^2 a b^2 a b^2, b a b a b^2, a^-1 b^-1 a^-1 b^-1, a b, b a >",
+        "< x, y, z | x y z x y z, z x y, y^-3 x, x^2 y^2 x^2 y^2 >",
+    )]
+    for p in presentations:
+        expected = list_scan_rotations(p)
+        got = _Enumerator(p, (), 10).rot_by_first
+        assert list(got.items()) == list(expected.items()), p
+    # a power of one letter has one rotation, found in near-linear time
+    start = time.perf_counter()
+    enum = _Enumerator(parse_presentation("< a | a^10000 >"), (), 10)
+    assert time.perf_counter() - start < 0.25
+    assert enum.rot_by_first == {0: [(0,) * 10000]}
 
 
 @pytest.mark.parametrize("name", sorted(INFINITE))
@@ -367,6 +418,122 @@ def test_coset_table_validation():
         CosetTable(p, [p.word("a")], [[1, 1], [0, 0]])
     table = CosetTable(z3, (), [[1, 2], [2, 0], [0, 1]])
     assert table._parent == (None, (0, 0), (0, 1))
+
+
+def walk_validate(presentation, subgroup_words, rows):
+    """`CosetTable._validate` as it was before it composed whole columns:
+    one scan entry by entry, then every relator walked letter by letter
+    from every coset. Kept as the reference for the column checks; returns
+    the spanning tree."""
+    n = len(rows)
+    cols = 2 * presentation.ngens
+    if n == 0:
+        raise ValueError("a coset table has at least one coset")
+    if any(len(row) != cols for row in rows):
+        raise ValueError("row width disagrees with the generator count")
+
+    def walk(coset, columns):
+        for c in columns:
+            coset = rows[coset][c]
+        return coset
+
+    parent = [None]
+    seen_max = 0
+    for a, row in enumerate(rows):
+        if a > seen_max:
+            raise ValueError("table is not in first-appearance order")
+        for c, t in enumerate(row):
+            if not 0 <= t < n:
+                raise ValueError(f"entry {t} out of range at ({a}, {c})")
+            if rows[t][c ^ 1] != a:
+                raise ValueError(f"column {c} is not a bijection at coset {a}")
+            if t > seen_max:
+                if t != seen_max + 1:
+                    raise ValueError("table is not in first-appearance order")
+                seen_max = t
+                parent.append((a, c))
+    for rel in presentation.relators:
+        columns = _columns(rel)
+        for a in range(n):
+            if walk(a, columns) != a:
+                raise ValueError(f"relator does not close at coset {a}")
+    for w in subgroup_words:
+        if walk(0, _columns(w)) != 0:
+            raise ValueError("subgroup word does not fix coset 0")
+    return tuple(parent)
+
+
+def validation_outcomes(presentation, subgroup_words, rows):
+    """(table's outcome, reference's outcome): the spanning tree, or the
+    ValueError message."""
+    outcomes = []
+    for check in (lambda *args: CosetTable(*args)._parent, walk_validate):
+        try:
+            outcomes.append(check(presentation, subgroup_words, rows))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def random_word(rng, ngens):
+    """A random word; a third of them a proper power of a random root."""
+    root = Word(tuple((rng.randrange(ngens), rng.choice([-3, -2, -1, 1, 2, 5]))
+                      for _ in range(rng.randint(1, 4))))
+    return root ** rng.choice([1, 1, 2, 3, 4, 6])
+
+
+def test_validation_matches_walk_reference():
+    rng = random.Random(27)
+    count = 0
+    kinds = Counter()
+    for p, words in cursor_corpus():
+        rows = todd_coxeter(p, words).rows
+        fast, slow = validation_outcomes(p, words, rows)
+        assert fast == slow and isinstance(fast, tuple), (p, words)
+        n, width = len(rows), len(rows[0])
+        for _ in range(4):
+            # one entry changed, possibly out of range on either side
+            a, c = rng.randrange(n), rng.randrange(width)
+            t = rng.choice([x for x in range(-1, n + 1) if x != rows[a][c]])
+            mutated = [list(row) for row in rows]
+            mutated[a][c] = t
+            fast, slow = validation_outcomes(p, words, mutated)
+            assert fast == slow and isinstance(fast, str), (p, words, a, c, t)
+            # a random extra relator, which may or may not close
+            extra = FpPresentation(p.generators, p.relators + (random_word(rng, p.ngens),))
+            fast, slow = validation_outcomes(extra, words, rows)
+            assert fast == slow, (extra, words)
+            kinds["relator", isinstance(fast, str)] += 1
+            # a random subgroup word, which may or may not fix coset 0
+            more = list(words) + [random_word(rng, p.ngens)]
+            fast, slow = validation_outcomes(p, more, rows)
+            assert fast == slow, (p, more)
+            kinds["subgroup word", isinstance(fast, str)] += 1
+        count += 1
+    assert count == 100
+    # each kind of extra word both closes and fails on many tables
+    assert min(kinds.values()) >= 50 and len(kinds) == 4, kinds
+
+
+def test_validation_composes_powers_of_long_relators():
+    # Z_10000, whose one relator is a power of a single letter
+    z = parse_presentation("< a | a^10000 >")
+    rows = coset_table_from_action(z, 0, lambda s, g, sign: (s + sign) % 10000,
+                                   10_000).rows
+    start = time.perf_counter()
+    CosetTable(z, (), rows)
+    assert time.perf_counter() - start < 0.5
+    # exponents that do and do not kill Z_12, against the letter walk
+    z12 = coset_table_from_action(parse_presentation("< a | a^12 >"), 0,
+                                  lambda s, g, sign: (s + sign) % 12, 12).rows
+    for e in (12, 1200, -1200, 1201, 1206, -6, 12 * 997):
+        for text in (f"< a | a^{e} >", f"< a | a^{e} a^{e} a^{e} >",
+                     f"< a | a^2 a^{e} a^2 a^{e} >"):
+            p = parse_presentation(text)
+            fast, slow = validation_outcomes(p, (), z12)
+            assert fast == slow, text
+    assert validation_outcomes(parse_presentation("< a | a^1201 >"), (), z12)[0] == \
+        "relator does not close at coset 0"
 
 
 def test_verify_hom():

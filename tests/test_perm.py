@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 from math import gcd
@@ -976,6 +977,18 @@ def test_conjugation_map_refuses_an_element_outside_the_group():
     with pytest.raises(ValueError, match="not in the group"):
         aset.conjugation_map(parse_cycles("(1 2)", 3))
     assert aset.conjugation_map(parse_cycles("(1 3 2)")).is_identity()
+
+
+def test_conjugation_map_keeps_no_columns_past_its_call():
+    # a conjugation asked after the search builds its columns in a copy of
+    # the search's memo, so conjugating by every element of S_6 leaves the
+    # memo that the result keeps as the search left it
+    aset = aut_group_search(PermGroup(6, symmetric_group(6).generators))
+    memo = inspect.getclosurevars(aset._conjugation).nonlocals["cols"]
+    after_search = dict(memo)
+    maps = {aset.conjugation_map(g) for g in aset.elements}
+    assert len(maps) == aset.inner_order() == 720
+    assert memo == after_search
 
 
 def test_commutator():
