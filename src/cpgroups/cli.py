@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from dataclasses import asdict
-from itertools import chain
 from math import lcm
 
 from . import catalog
@@ -102,11 +101,10 @@ def _json(value, pad, out):
     `pad`, to the list `out` in pieces, which are joined once.
 
     Dicts with str keys and lists recurse. A list of plain ints or of
-    strs, alone or as the rows of a table, is written with str.join. Every
-    scalar, key and other container goes through json.dumps (ints through
-    int.__repr__, as json does), so the bytes are the same. (indent=2 on
-    the whole payload would run it all through json's pure-Python
-    encoder.)"""
+    strs is written with str.join. Every scalar, key and other container
+    goes through json.dumps (ints through int.__repr__, as json does), so
+    the bytes are the same. (indent=2 on the whole payload would run it
+    all through json's pure-Python encoder.)"""
     if type(value) is int:
         out.append(str(value))
         return
@@ -128,9 +126,6 @@ def _json(value, pad, out):
         out.append(_lines(map(str, value), pad))
     elif types == {str}:
         out.append(_lines(map(json.dumps, value), pad))
-    elif types <= {list, tuple} and all(value) \
-            and set(map(type, chain.from_iterable(value))) == {int}:
-        out.append(_lines([_lines(map(str, row), inner) for row in value], pad))
     else:
         head = "[\n" + inner
         for v in value:

@@ -12,11 +12,11 @@ standardized: cosets are numbered in first appearance order, reading the
 table row by row with columns interleaved as g, g^-1, next generator, and
 so on, so that tables, spanning trees, and Schreier generators are
 reproducible across runs. One breadth-first walk, the perm module's
-`_first_appearance`, numbers both enumerated tables (each coset's live
-root is resolved once, in one list, and dead cosets drop out on the way)
-and tables read off an action, as it numbers group elements, Cayley-graph
-columns and the cosets of G/N there. Words longer than DEFAULT_MAX_COSETS
-letters are refused before they are expanded. The enumerator keeps each
+`_first_appearance`, numbers both enumerated tables (live rows point
+only at live cosets, so dead cosets drop out on the way) and tables read
+off an action, as it numbers group elements, Cayley-graph columns and the
+cosets of G/N there. Words longer than DEFAULT_MAX_COSETS letters are
+refused before they are expanded. The enumerator keeps each
 distinct rotation of each relator once: a relator that is a k-th power of
 its primitive root has only len/k of them, so `a^10000` has one.
 
@@ -27,28 +27,29 @@ only fill entries or append rows, and the one statement that empties an
 entry of a possibly live row (in coincidence processing) lowers the cursor
 to that row, so the cursor finds exactly the entry a rescan would.
 
-Tables validate their own invariants on construction, on whole columns
-rather than entry by entry: every column is a bijection, undone by its
-inverse column; cosets first appear in order, and each coset's first entry
-is its spanning-tree edge, which coset representatives and Schreier edges
-are read from; every relator acts as the identity on the cosets; and the
-subgroup words fix coset 0. A relator's action is the columns of its
+Tables validate their own invariants on construction. One scan of the
+entries checks that every column is a bijection and that cosets appear in
+order, and records each coset's first entry as its spanning-tree edge,
+which coset representatives and Schreier edges are read from. Every
+relator must then act as the identity on the cosets, and the subgroup
+words must fix coset 0. A relator's action is the columns of its
 syllables composed as lists, with a power g^e, and a relator that is a
 power of its primitive root, composed by repeated squaring: log e
-compositions of the columns instead of e steps per coset. A table that
-fails is read entry by entry to name its first fault.
+compositions of the columns instead of e steps per coset.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 from .errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
 from .homalg import AbelianStructure, IntMatrix, cokernel_structure
 from .perm import Perm, _first_appearance
 
+# Also the cap on a word's letters. `_primitive_period` encodes each distinct
+# letter or syllable of a word as one character, so the cap must stay below
+# 0x110000, the number of code points.
 DEFAULT_MAX_COSETS = 1_000_000
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -139,7 +140,9 @@ def _check_letter_count(word):
 def _primitive_period(seq):
     """The length of the primitive root of a nonempty sequence: the least
     k > 0 with seq == seq[:k] * (len(seq) // k). It is the least rotation
-    that maps seq to itself, found by one string search."""
+    that maps seq to itself, found by one string search. Distinct items
+    are encoded as chr(0), chr(1), ...: callers pass a word's letters or
+    syllables, at most DEFAULT_MAX_COSETS of them by the letter cap."""
     code = {}
     s = "".join([chr(code.setdefault(x, len(code))) for x in seq])
     return (s + s).find(s, 1)
@@ -317,13 +320,10 @@ class CosetTable:
 
     Rows are cosets (0 is the subgroup itself); columns are interleaved
     g0, g0^-1, g1, g1^-1, ... The table is closed, compressed, and numbered
-    in first appearance order. All invariants are checked on construction,
-    by list operations on whole columns (taken from the rows as one flat
-    list): each odd column composed with the even one before it is the
-    identity, the cosets first appear in order, and each relator's action,
-    composed from its syllables' columns with powers by repeated squaring,
-    fixes every coset. Only a failing table is read entry by entry, to
-    name the first fault in row order.
+    in first appearance order. All invariants are checked on construction:
+    one scan of the entries checks the columns and the order, and each
+    relator's action, composed from its syllables' columns with powers by
+    repeated squaring, must fix every coset.
     """
 
     def __init__(self, presentation, subgroup_words, rows):
@@ -344,45 +344,9 @@ class CosetTable:
             raise ValueError("a coset table has at least one coset")
         if any(len(row) != width for row in rows):
             raise ValueError("row width disagrees with the generator count")
-        flat = list(chain.from_iterable(rows))
-        columns = [flat[c::width] for c in range(width)]  # columns[c][a] = rows[a][c]
-        identity = list(range(n))
-        # Cosets 1, 2, ..., n - 1 first appear in that order, which also puts
-        # every entry in range; and each column c ^ 1 undoes column c, so
-        # both are permutations, inverse to each other.
-        appearing = dict.fromkeys(flat)
-        appearing.pop(0, None)
-        if not (list(appearing) == identity[1:]
-                and all([columns[c + 1][t] for t in columns[c]] == identity
-                        for c in range(0, width, 2))):
-            self._first_fault()
         # parent[t] is the entry (a, c) at which coset t first appears; a
-        # row is read only after its coset has appeared, so a < t
+        # row is scanned only after its coset has appeared, so a < t
         parent = [None]
-        i = -1
-        for t in identity[1:]:
-            i = flat.index(t, i + 1)  # first appearances come in order
-            a, c = divmod(i, width)
-            if a >= t:
-                self._first_fault()
-            parent.append((a, c))
-        self._parent = tuple(parent)
-        for rel in self.presentation.relators:
-            _check_letter_count(rel)  # refused like any word too long to expand
-            action = _word_action(columns, rel.syllables, identity)
-            if action != identity:
-                a = next(a for a in identity if action[a] != a)
-                raise ValueError(f"relator does not close at coset {a}")
-        for w in self.subgroup_words:
-            if self.trace(0, w) != 0:
-                raise ValueError("subgroup word does not fix coset 0")
-
-    def _first_fault(self):
-        """Raise for the first entry, in row-major order, that breaks range,
-        bijectivity or first-appearance order; the column checks in
-        `_validate` found that one does."""
-        rows = self.rows
-        n = len(rows)
         seen_max = 0
         for a, row in enumerate(rows):
             if a > seen_max:
@@ -396,7 +360,21 @@ class CosetTable:
                     if t != seen_max + 1:
                         raise ValueError("table is not in first-appearance order")
                     seen_max = t
-        raise RuntimeError("the column checks and the entry scan disagree")  # unreachable
+                    parent.append((a, c))
+        self._parent = tuple(parent)
+        # every column is now a permutation, so a relator's action is its
+        # syllables' columns composed
+        columns = [list(col) for col in zip(*rows)]  # columns[c][a] = rows[a][c]
+        identity = list(range(n))
+        for rel in self.presentation.relators:
+            _check_letter_count(rel)  # refused like any word too long to expand
+            action = _word_action(columns, rel.syllables, identity)
+            if action != identity:
+                a = next(a for a in identity if action[a] != a)
+                raise ValueError(f"relator does not close at coset {a}")
+        for w in self.subgroup_words:
+            if self.trace(0, w) != 0:
+                raise ValueError("subgroup word does not fix coset 0")
 
     def _walk(self, coset, columns):
         rows = self.rows
@@ -617,11 +595,13 @@ class _Enumerator:
             if pos is None:
                 break
             self.define(*pos)
-        # each coset's live root, resolved once; every live coset has a
-        # row, so the state cap never trips here
-        table, p, find = self.table, self.p, self.find
-        root = [a if p[a] == a else find(a) for a in range(len(p))]
-        return _first_appearance(0, self.cols, lambda a, c: root[table[a][c]],
+        # Every entry is written with its mirror (table[b][c ^ 1] = a when
+        # table[a][c] = b), and a dying coset's row clears its entries'
+        # mirrors, so in the closed table a live row points only at live
+        # cosets and the walk reads the entries as they are. Every live
+        # coset has a row, so the state cap never trips here.
+        table = self.table
+        return _first_appearance(0, self.cols, lambda a, c: table[a][c],
                                  len(table))[2]
 
 

@@ -281,8 +281,9 @@ def cursor_corpus():
 
 def find_per_entry_rows(enum):
     """The rows of a closed enumeration as `_Enumerator.run` walked them
-    before it resolved each coset's root once: `find` on every entry. Kept
-    as the reference for the resolved-root walk."""
+    before it read the entries directly: `find` on every entry. Kept as
+    the reference for the direct walk, which relies on live rows pointing
+    only at live cosets."""
     table = enum.table
     return _first_appearance(0, enum.cols, lambda a, c: enum.find(table[a][c]),
                              len(table))[2]
@@ -421,10 +422,10 @@ def test_coset_table_validation():
 
 
 def walk_validate(presentation, subgroup_words, rows):
-    """`CosetTable._validate` as it was before it composed whole columns:
-    one scan entry by entry, then every relator walked letter by letter
-    from every coset. Kept as the reference for the column checks; returns
-    the spanning tree."""
+    """`CosetTable._validate` as it was before it composed relator
+    columns: one scan entry by entry, then every relator walked letter by
+    letter from every coset. Kept as the reference for the composition;
+    returns the spanning tree."""
     n = len(rows)
     cols = 2 * presentation.ngens
     if n == 0:
