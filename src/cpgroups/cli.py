@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
-from math import lcm
+from math import factorial, lcm
 
 from . import catalog
 from .errors import BudgetExhausted
@@ -82,18 +82,42 @@ def group_from_spec(text):
 
 
 def _flatten(value, prefix, out):
+    """Append the text lines `key=value` of `value`, at the dotted key
+    `prefix`, to the list `out`.
+
+    Each value is what json.dumps gives: a list of plain ints is written
+    in one comprehension, and ints, bools and printable ASCII strings
+    without quotes or backslashes are written directly; every other
+    scalar goes through json.dumps."""
     if isinstance(value, dict):
         if not value:
-            out.append((prefix, "{}"))
+            out.append(prefix + "={}")
         for k, v in value.items():
             _flatten(v, f"{prefix}.{k}" if prefix else str(k), out)
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append((prefix, "[]"))
-        for i, v in enumerate(value):
-            _flatten(v, f"{prefix}.{i}" if prefix else str(i), out)
+            out.append(prefix + "=[]")
+        head = prefix + "." if prefix else ""
+        if set(map(type, value)) == {int}:
+            out.extend([f"{head}{i}={v}" for i, v in enumerate(value)])
+        else:
+            for i, v in enumerate(value):
+                _flatten(v, f"{head}{i}", out)
     else:
-        out.append((prefix, json.dumps(value)))
+        out.append(f"{prefix}={_scalar(value)}")
+
+
+def _scalar(value):
+    # json.dumps(value), skipping the call where the encoding is plain
+    kind = type(value)
+    if kind is int:
+        return str(value)  # int.__repr__, as json writes it
+    if kind is bool:
+        return "true" if value else "false"
+    if (kind is str and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value):
+        return f'"{value}"'
+    return json.dumps(value)
 
 
 def _json(value, pad, out):
@@ -148,7 +172,7 @@ def render(payload, fmt):
         return "".join(out)
     lines = []
     _flatten(payload, "", lines)
-    return "\n".join(f"{k}={v}" for k, v in lines)
+    return "\n".join(lines)
 
 
 def _group_payload(spec, group):
@@ -161,10 +185,11 @@ def _recognize(group, sub, spec):
     if sub.order() == group.order():
         return spec
     if sub.degree <= 10:
-        if sub.degree >= 3:
-            alt = perm_mod.alternating_group(sub.degree)
-            if sub.order() == alt.order() and sub.equals_subgroup(alt):
-                return f"A{sub.degree}"
+        # a subgroup of S_n of order n!/2 whose generators are even is A_n;
+        # a permutation's parity is that of n minus its number of cycles
+        if sub.degree >= 3 and 2 * sub.order() == factorial(sub.degree) and all(
+                sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in sub.generators):
+            return f"A{sub.degree}"
         if sub.degree == 4 and sub.order() == 4 \
                 and sub.equals_subgroup(perm_mod.klein_four_group()):
             return "V4"

@@ -10,10 +10,13 @@ Orders and membership come from a stabilizer chain built by a deterministic
 Schreier-Sims procedure: no randomized strong-generator filling, and
 Schreier generators are sifted in the order their orbit points were found,
 so rebuilding a group from the same generator list reproduces the same
-chain. Nothing is computed twice: transversals hold the image tuples of
-the inverse coset representatives, so sifting never inverts; orbits grow
-by the points a new generator reaches; and per-point counters let every
-Schreier check resume where the last one stopped. A subgroup grows one
+chain. Nothing is computed twice: transversals hold the inverse coset
+representatives, so sifting never inverts; orbits grow by the points a
+new generator reaches; and per-point counters let every Schreier check
+resume where the last one stopped. On at most 256 points the chain keeps
+each permutation as a 256-byte `bytes` and composes with `bytes.translate`,
+in C; above that, where a byte cannot name a point, it keeps image tuples.
+Only Perms of image tuples go in and come out. A subgroup grows one
 chain in place by `extend`, one element at a time, and keeps an element
 as a generator only if it grew the chain: at most log2 of its order are
 kept. A PermGroup lazily builds its chain behind a lock, or receives
@@ -189,6 +192,20 @@ def _invert(images):
     return tuple(inv)
 
 
+def _compose(g, v):
+    """Image tuple of g, then v."""
+    return tuple([v[x] for x in g])
+
+
+def _compose3(g, s, v):
+    """Image tuple of g, then s, then v, in one pass."""
+    return tuple([v[s[x]] for x in g])
+
+
+# the identity on the 256 points a byte can name; see _StabilizerChain
+_BYTE_ID = bytes(range(256))
+
+
 def commutator(a, b):
     """[a, b] = a b a^-1 b^-1."""
     return a * b * a.inverse() * b.inverse()
@@ -253,28 +270,52 @@ class _StabilizerChain:
     """Deterministic Schreier-Sims stabilizer chain, grown incrementally.
 
     Level i has the base point base[i] and, in _gens[i], the strong
-    generators that fix base[:i], each as a pair of image tuples (s, s^-1).
-    transversals[i] maps each point d of the orbit of base[i], in the order
-    the points were found, to the image tuple of u_d^-1, where u_d is a
-    product of level generators with u_d(base[i]) = d. That tuple is the
-    only permutation stored per point: sifting composes tuples and never
-    inverts. _checked[i][j] counts the level generators s whose Schreier
-    generator u_d s u_{s(d)}^-1, for the j-th orbit point d, has been
-    sifted. Orbits and generator lists only grow, and a transversal element
-    never changes once set, so a Schreier generator that sifted to the
-    identity stays in the group of the deeper levels, and every check
-    resumes from the counters.
+    generators that fix base[:i], each as a pair (s, s^-1). transversals[i]
+    maps each point d of the orbit of base[i], in the order the points were
+    found, to u_d^-1, where u_d is a product of level generators with
+    u_d(base[i]) = d. That is the only permutation stored per point:
+    sifting composes and never inverts. _checked[i][j] counts the level
+    generators s whose Schreier generator u_d s u_{s(d)}^-1, for the j-th
+    orbit point d, has been sifted. Orbits and generator lists only grow,
+    and a transversal element never changes once set, so a Schreier
+    generator that sifted to the identity stays in the group of the deeper
+    levels, and every check resumes from the counters.
+
+    Every permutation inside the chain is stored in one encoding, picked
+    from the degree. On at most 256 points it is a 256-byte `bytes`, the
+    image of each point followed by the identity on points degree..255:
+    `g.translate(v)` composes (g, then v) and `bytes.maketrans(g, _BYTE_ID)`
+    inverts, both in C. A byte cannot hold a larger point, so on more than
+    256 points (the automorphism search on a large group) it is the image
+    tuple, composed by list comprehension, with the Schreier generator
+    formed in one fused pass. `_pack` and `_unpack` convert at the chain's
+    boundary: `extend` and `contains` take Perms, and `strong`,
+    `coset_key` and the elements listed by `_ChainElements` come back as
+    image tuples, so nothing encoded leaves the chain.
 
     The automorphism search builds a chain on base points it chooses,
     each a level whose orbit is the point alone until a generator placed
-    there moves it, and places its generators without Schreier checks,
-    because its exhaustive search shows that they are a strong generating
-    set. Such a level may keep a one-point orbit.
+    there moves it, and places its generators, packed, without Schreier
+    checks, because its exhaustive search shows that they are a strong
+    generating set. Such a level may keep a one-point orbit.
     """
 
     def __init__(self, degree, generators=()):
         self.degree = degree
-        self._identity = tuple(range(degree))
+        if degree <= 256:
+            tail = _BYTE_ID[degree:]
+            self._identity = _BYTE_ID
+            self._pack = lambda images: bytes(images) + tail
+            self._unpack = lambda z: tuple(z[:degree])
+            self._inverse = lambda g: bytes.maketrans(g, _BYTE_ID)
+            self._compose = bytes.translate
+            self._schreier = lambda ud, s, ve: ud.translate(s).translate(ve)
+        else:
+            self._identity = tuple(range(degree))
+            self._pack = self._unpack = tuple
+            self._inverse = _invert
+            self._compose = _compose
+            self._schreier = _compose3
         self.base = []
         self.strong = []
         self.transversals = []
@@ -290,7 +331,7 @@ class _StabilizerChain:
         """
         deepest = -1
         for g in generators:
-            residue, level = self._strip(g.images)
+            residue, level = self._strip(self._pack(g.images))
             if residue != self._identity:
                 deepest = max(deepest, self._place(residue, level))
         i = deepest
@@ -303,7 +344,8 @@ class _StabilizerChain:
         return deepest >= 0
 
     def copy(self):
-        """An independent chain for the same group (tuples are immutable)."""
+        """An independent chain for the same group (its elements are
+        immutable)."""
         other = _StabilizerChain(self.degree)
         other.base = list(self.base)
         other.strong = list(self.strong)
@@ -313,11 +355,12 @@ class _StabilizerChain:
         return other
 
     def _strip(self, g, start=0):
-        """Sift the image tuple g from level `start`: (residue, level),
-        where level is the first level whose orbit misses the image of its
-        base point, or len(base)."""
+        """Sift the packed g from level `start`: (residue, level), where
+        level is the first level whose orbit misses the image of its base
+        point, or len(base)."""
         base = self.base
         transversals = self.transversals
+        compose = self._compose
         for i in range(start, len(base)):
             b = base[i]
             d = g[b]
@@ -325,18 +368,18 @@ class _StabilizerChain:
                 v = transversals[i].get(d)
                 if v is None:
                     return g, i
-                g = tuple([v[x] for x in g])
+                g = compose(g, v)
         return g, len(base)
 
     def _place(self, g, level):
-        # g fixes base[:level]; push it as deep as it goes
+        # the packed g fixes base[:level]; push it as deep as it goes
         base = self.base
         while level < len(base) and g[base[level]] == base[level]:
             level += 1
         if level == len(base):
             self._new_level(next(p for p in range(self.degree) if g[p] != p))
-        self.strong.append(Perm._raw(g))
-        pair = (g, _invert(g))
+        self.strong.append(Perm._raw(self._unpack(g)))
+        pair = (g, self._inverse(g))
         for k in range(level + 1):
             self._gens[k].append(pair)
             self._grow_orbit(k, pair)
@@ -352,12 +395,13 @@ class _StabilizerChain:
         # the old orbit is closed under the old generators, so only the new
         # generator moves old points; new points meet every generator
         tr = self.transversals[k]
+        compose = self._compose
         g, ginv = pair
         new = []
         for d, v in list(tr.items()):
             e = g[d]
             if e not in tr:
-                tr[e] = tuple([v[x] for x in ginv])  # u_e^-1 = g^-1 u_d^-1
+                tr[e] = compose(ginv, v)  # u_e^-1 = g^-1 u_d^-1
                 new.append(e)
         gens = self._gens[k]
         for d in new:  # the list grows while it is walked
@@ -365,7 +409,7 @@ class _StabilizerChain:
             for s, sinv in gens:
                 e = s[d]
                 if e not in tr:
-                    tr[e] = tuple([v[x] for x in sinv])
+                    tr[e] = compose(sinv, v)
                     new.append(e)
         counts = self._checked[k]
         counts.extend([0] * (len(tr) - len(counts)))
@@ -377,16 +421,18 @@ class _StabilizerChain:
         gens = self._gens[i]
         counts = self._checked[i]
         identity = self._identity
+        inverse = self._inverse
+        schreier_of = self._schreier
         n = len(gens)
         for j, d in enumerate(tr):
             if counts[j] == n:
                 continue
-            ud = _invert(tr[d])
+            ud = inverse(tr[d])
             for k in range(counts[j], n):
                 s = gens[k][0]
                 ve = tr[s[d]]
                 counts[j] = k + 1
-                schreier = tuple([ve[s[x]] for x in ud])  # u_d s u_{s(d)}^-1
+                schreier = schreier_of(ud, s, ve)  # u_d s u_{s(d)}^-1
                 if schreier == identity:
                     continue
                 residue, level = self._strip(schreier, i + 1)
@@ -401,7 +447,7 @@ class _StabilizerChain:
         return n
 
     def contains(self, g):
-        return self._strip(g.images)[0] == self._identity
+        return self._strip(self._pack(g.images))[0] == self._identity
 
     def coset_key(self, x):
         """A key shared by exactly the elements of the coset xN, where N is
@@ -414,11 +460,11 @@ class _StabilizerChain:
         stabilizer of the base is trivial, so the last x, whose image tuple
         is the key, is the same for every element of xN.
         """
-        z = x.images
+        z = self._pack(x.images)
+        compose = self._compose
         for tr in self.transversals:
-            v = tr[next(d for d in z if d in tr)]
-            z = tuple([v[d] for d in z])
-        return z
+            z = compose(z, tr[next(d for d in z if d in tr)])
+        return self._unpack(z)
 
 
 def _first_appearance(initial, cols, step, max_states=None):
@@ -692,28 +738,30 @@ class _ChainElements(Sequence):
         if not -n <= i < n:
             raise IndexError("automorphism index out of range")
         i %= n
-        transversals = self._chain.transversals
+        chain = self._chain
+        transversals = chain.transversals
         digits = []
         for tr in reversed(transversals):
             i, d = divmod(i, len(tr))
             digits.append(d)
-        z = self._chain._identity
+        z = chain._identity
         for tr, d in zip(transversals, reversed(digits)):
-            v = list(tr.values())[d]
-            z = tuple([v[x] for x in z])
-        return Perm._raw(z)
+            z = chain._compose(z, list(tr.values())[d])
+        return Perm._raw(chain._unpack(z))
 
     def __iter__(self):
-        levels = [tuple(tr.values()) for tr in self._chain.transversals]
+        chain = self._chain
+        compose, unpack = chain._compose, chain._unpack
+        levels = [tuple(tr.values()) for tr in chain.transversals]
 
         def walk(z, j):
             if j == len(levels):
-                yield Perm._raw(z)
+                yield Perm._raw(unpack(z))
                 return
             for v in levels[j]:
-                yield from walk(tuple([v[x] for x in z]), j + 1)
+                yield from walk(compose(z, v), j + 1)
 
-        return walk(self._chain._identity, 0)
+        return walk(chain._identity, 0)
 
 
 class AutomorphismSet:
@@ -1000,7 +1048,7 @@ def aut_group_search(group, budget=DEFAULT_AUT_NODE_BUDGET):
                 continue
             phi = extension(prefix + [c])
             if phi is not None:
-                chain._place(phi, i)
+                chain._place(chain._pack(phi), i)
 
     # the result keeps the memo, so it must not keep the backtrack's
     # columns, and a conjugation asked of it later memoizes in a copy that

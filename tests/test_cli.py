@@ -1,3 +1,4 @@
+import enum
 import json
 import os
 import re
@@ -364,15 +365,59 @@ RENDER_CORPUS = [
 ]
 
 
-def test_json_render_matches_indented_dumps():
-    # the reference is the renderer it replaced, json.dumps(indent=2)
+def doc_payloads():
+    """The payloads of the 20 docs/cli.md examples."""
     payloads = []
     for command, _, _ in DOC_EXAMPLES:
         args = cli.build_parser().parse_args(shlex.split(command))
         payloads.append(args.func(args)[0])
     assert len(payloads) == 20
-    for payload in payloads + RENDER_CORPUS:
+    return payloads
+
+
+def test_json_render_matches_indented_dumps():
+    # the reference is the renderer it replaced, json.dumps(indent=2)
+    for payload in doc_payloads() + RENDER_CORPUS:
         assert cli.render(payload, "json") == json.dumps(payload, indent=2), payload
+
+
+def flatten_reference(value, prefix, out):
+    """The text format's flattening before plain scalars skipped
+    json.dumps, kept as its reference: (dotted key, json.dumps(scalar))
+    pairs."""
+    if isinstance(value, dict):
+        if not value:
+            out.append((prefix, "{}"))
+        for k, v in value.items():
+            flatten_reference(v, f"{prefix}.{k}" if prefix else str(k), out)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append((prefix, "[]"))
+        for i, v in enumerate(value):
+            flatten_reference(v, f"{prefix}.{i}" if prefix else str(i), out)
+    else:
+        out.append((prefix, json.dumps(value)))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+TEXT_CORPUS = [
+    "", " ", "~", "a b", "\x7f", "\x1f", '"', "\\", "é", "😀", "tab\t", "a/b",
+    [" ~!#$%&'()*+,-./0-9:;<=>?@A-Z[]^_`a-z{|}", "q\"", "\\n", "\u2028"],
+    [Level.LOW, 1, True], {"e": Level.LOW, "f": [Level.LOW, 2]}, [10 ** 100, -(10 ** 100)],
+    [(), [], {}, [[]], [{}], {"a": []}], {"deep": [[[1, 2], [3]], [["x", None]]]},
+    [False, None, 0.0, -0.0], {"": [1], "k": {"": {}}},
+]
+
+
+def test_text_render_matches_flatten_reference():
+    for payload in doc_payloads() + RENDER_CORPUS + TEXT_CORPUS:
+        pairs = []
+        flatten_reference(payload, "", pairs)
+        expected = "\n".join(f"{k}={v}" for k, v in pairs)
+        assert cli.render(payload, "text") == expected, payload
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

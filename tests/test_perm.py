@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import tracemalloc
 from math import gcd
@@ -1237,8 +1238,11 @@ def wreath_product(a, b):
 
 def test_chain_matches_rebuild_reference():
     # equal orders, membership and extend results; the base may differ,
-    # because the incremental orbits find their points in another order
+    # because the incremental orbits find their points in another order.
+    # Each group is also built on 257 points, where the chain keeps image
+    # tuples instead of bytes.
     rng = random.Random(47)
+    wide = 257
     cases = [(g.degree, list(g.generators), True) for g in small_groups()]
     cases += [(degree, gens, True) for degree, gens, _ in fuzz_generator_pairs()]
     cases += [(g.degree, list(g.generators), False) for g in (
@@ -1250,9 +1254,10 @@ def test_chain_matches_rebuild_reference():
         # one at a time: the generators, then redundant products of them
         sequence = gens + [a * b for a in gens for b in gens][:4]
         new, old = _StabilizerChain(degree), RebuildChain(degree)
+        tuples = _StabilizerChain(wide)
         for g in sequence:
-            assert new.extend([g]) == old.extend([g]), gens
-            assert new.order() == old.order(), gens
+            assert new.extend([g]) == old.extend([g]) == tuples.extend([g.extended(wide)]), gens
+            assert new.order() == old.order() == tuples.order(), gens
         assert _StabilizerChain(degree, gens).order() == new.order()
         points = [Perm(rng.sample(range(degree), degree)) for _ in range(20)]
         if small:
@@ -1268,11 +1273,57 @@ def test_chain_matches_rebuild_reference():
                 points.append(word)
                 assert new.contains(word), gens
         for x in points:
-            assert new.contains(x) == old.contains(x), (gens, x)
+            assert new.contains(x) == old.contains(x) == tuples.contains(x.extended(wide)), \
+                (gens, x)
             if closure is not None:
                 assert new.contains(x) == (x.images in closure), (gens, x)
         if degree <= 6:
             # one element of the ambient symmetric group, usually outside
             x = Perm(rng.sample(range(degree), degree))
-            assert new.extend([x]) == old.extend([x]), (gens, x)
-            assert new.order() == old.order() == len(mulclose(gens + [x])), (gens, x)
+            assert new.extend([x]) == old.extend([x]) == tuples.extend([x.extended(wide)]), \
+                (gens, x)
+            assert new.order() == old.order() == tuples.order() == len(mulclose(gens + [x])), \
+                (gens, x)
+
+
+def test_byte_and_tuple_chains_agree():
+    # the same group on n <= 24 points and extended to 255 and 256 points
+    # (bytes) and to 257 and 300 (tuples) gives the same chain: base, strong
+    # generators, transversal order, Schreier counters and coset keys
+    rng = random.Random(59)
+    for group in (wreath_product(3, 4), wreath_product(3, 8), symmetric_group(9),
+                  alternating_group(10)):
+        n = group.degree
+        small = _StabilizerChain(n, group.generators)
+        samples = [Perm(rng.sample(range(n), n)) for _ in range(10)]
+        samples += [small.strong[0] * x for x in samples[:5]]
+        for degree in (255, 256, 257, 300):
+            chain = _StabilizerChain(degree, [g.extended(degree) for g in group.generators])
+            assert isinstance(chain._identity, bytes) == (degree <= 256)
+            assert chain.base == small.base, (group, degree)
+            assert chain.strong == [s.extended(degree) for s in small.strong], (group, degree)
+            assert [list(tr) for tr in chain.transversals] == \
+                [list(tr) for tr in small.transversals], (group, degree)
+            assert chain._checked == small._checked, (group, degree)
+            for x in samples:
+                wide = x.extended(degree)
+                assert chain.coset_key(wide) == small.coset_key(x) + tuple(range(n, degree))
+                assert chain.contains(wide) == small.contains(x)
+
+
+def test_nothing_encoded_leaves_the_chain():
+    # Perm.__eq__ compares tuples, so a bytes image would compare unequal:
+    # one chain of each encoding (Aut(S_4) on 24 points, Aut(S_6) on 720)
+    # hands back Perms of image tuples only
+    for group, encoding in ((symmetric_group(4), bytes), (symmetric_group(6), tuple)):
+        aset = aut_group_search(group)
+        chain = aset.chain
+        assert type(chain._identity) is encoding
+        x = Perm(random.Random(61).sample(range(chain.degree), chain.degree))
+        perms = [*chain.strong, Perm._raw(chain.coset_key(x)), aset.maps[0], aset.maps[-1],
+                 aset.maps[len(aset.maps) // 2], *itertools.islice(aset.maps, 30),
+                 *aset.as_perm_group().generators, *aset.as_perm_group().chain.strong]
+        for p in perms:
+            assert type(p) is Perm and type(p.images) is tuple, (group, p)
+        assert aset.maps[0] == Perm.identity(chain.degree)
+        assert list(itertools.islice(aset.maps, 3)) == [aset.maps[i] for i in range(3)]
