@@ -41,6 +41,7 @@ compositions of the columns instead of e steps per coset.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
@@ -428,28 +429,62 @@ class CosetTable:
 
 
 class _Enumerator:
-    """Felsch-style coset enumeration state."""
+    """Felsch-style coset enumeration state, stored by columns.
+
+    columns[c][a] is the coset that coset a reaches along column c (g0,
+    g0^-1, g1, g1^-1, ...), or None while that entry is undefined; p is the
+    union-find forest of the coincidences. Every entry is written together
+    with its mirror (columns[c ^ 1][b] = a when columns[c][a] = b).
+
+    Each relator is kept once, as its letters, their columns and their
+    inverse columns, each doubled, so the rotation starting at letter k is
+    the offset k into them: a scan reads fwd[i][f] forward and bwd[j][b]
+    backward, and storage is linear in the relator's length. A relator that
+    is a cyclic conjugate of an earlier one adds nothing, and a relator of
+    primitive period k has the k rotations 0..k-1. rot_by_first maps a
+    column to the rotations that start with it, as (first offset, last
+    offset, letters, fwd, bwd), in relator order.
+
+    Outside coincidence processing, live rows name only live cosets: a
+    dying coset's row clears its entries' mirrors before `coincide`
+    returns. So the scans, which run inline in `process_deductions`, step
+    from entry to entry without `find`; only each rotation's start coset is
+    resolved, since an earlier rotation's coincidence can kill it.
+    """
 
     def __init__(self, presentation, subgroup_words, max_cosets):
         self.ngens = presentation.ngens
         self.cols = 2 * self.ngens
         self.max_cosets = max_cosets
-        self.table = [[None] * self.cols]
+        self.columns = columns = [[None] for _ in range(self.cols)]
         self.p = [0]
         # every live row below the cursor is complete (see first_undefined)
         self.cursor = 0
         self.deductions = []
-        # each distinct cyclic rotation of a relator, bucketed by its first
-        # letter in relator order; rotation k + period repeats rotation k
         self.rot_by_first = {}
-        seen = set()
+        # the doubled letter strings of the relators kept so far, keyed by
+        # their letter counts, which cyclic conjugates share
+        kept = {}
         for rel in presentation.relators:
             letters = _columns(rel)
-            for k in range(_primitive_period(letters) if letters else 0):
-                rot = letters[k:] + letters[:k]
-                if rot not in seen:
-                    seen.add(rot)
-                    self.rot_by_first.setdefault(rot[0], []).append(rot)
+            if not letters:
+                continue
+            key = tuple(sorted(Counter(letters).items()))
+            # letters as characters, by rank among the relator's distinct
+            # letters; relators with one key share that code
+            code = {x: chr(r) for r, (x, _) in enumerate(key)}
+            s = "".join([code[x] for x in letters])
+            doubled = kept.setdefault(key, [])
+            if any(s in t for t in doubled):
+                continue
+            doubled.append(s + s)
+            n = len(letters)
+            letters = letters + letters
+            fwd = [columns[x] for x in letters]
+            bwd = [columns[x ^ 1] for x in letters]
+            for k in range(doubled[-1].find(s, 1)):  # the primitive period
+                self.rot_by_first.setdefault(letters[k], []).append(
+                    (k, k + n - 1, letters, fwd, bwd))
         self.subgroup_letters = [_columns(w) for w in subgroup_words]
 
     def find(self, i):
@@ -462,16 +497,19 @@ class _Enumerator:
         return r
 
     def define(self, a, c):
-        if len(self.table) >= self.max_cosets:
-            live = sum(1 for i, r in enumerate(self.p) if i == r)
+        p = self.p
+        b = len(p)
+        if b >= self.max_cosets:
+            live = sum(1 for i, r in enumerate(p) if i == r)
             raise BudgetExhausted(
                 f"coset budget {self.max_cosets} exhausted with {live} live "
                 "cosets; index unknown (possibly infinite)")
-        b = len(self.table)
-        self.table.append([None] * self.cols)
-        self.p.append(b)
-        self.table[a][c] = b
-        self.table[b][c ^ 1] = a
+        columns = self.columns
+        for col in columns:
+            col.append(None)
+        p.append(b)
+        columns[c][a] = b
+        columns[c ^ 1][b] = a
         self.deductions.append((a, c))
 
     def _merge(self, a, b, queue):
@@ -484,88 +522,115 @@ class _Enumerator:
         queue.append(b)
 
     def coincide(self, a, b):
+        columns, find = self.columns, self.find
         queue = []
         self._merge(a, b, queue)
         qi = 0
         while qi < len(queue):
             dead = queue[qi]
             qi += 1
-            row = self.table[dead]
             for c in range(self.cols):
-                d = row[c]
+                col = columns[c]
+                d = col[dead]
                 if d is None:
                     continue
-                row[c] = None
-                if self.table[d][c ^ 1] == dead:
+                col[dead] = None
+                inv = columns[c ^ 1]
+                if inv[d] == dead:
                     # the only place an entry of a possibly live row is
                     # emptied, so the cursor invariant is restored here
-                    self.table[d][c ^ 1] = None
+                    inv[d] = None
                     if d < self.cursor:
                         self.cursor = d
-                mu = self.find(dead)
-                nu = self.find(d)
-                if self.table[mu][c] is not None:
-                    self._merge(self.find(self.table[mu][c]), nu, queue)
-                elif self.table[nu][c ^ 1] is not None:
-                    self._merge(self.find(self.table[nu][c ^ 1]), mu, queue)
+                mu = find(dead)
+                nu = find(d)
+                if col[mu] is not None:
+                    self._merge(find(col[mu]), nu, queue)
+                elif inv[nu] is not None:
+                    self._merge(find(inv[nu]), mu, queue)
                 else:
-                    self.table[mu][c] = nu
-                    self.table[nu][c ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
                     self.deductions.append((mu, c))
 
-    def scan(self, alpha, letters, fill=False):
-        """Trace `letters` from alpha back to alpha, deducing or coinciding.
-
-        Returns True once the scan is complete or produced a deduction;
-        False if a gap of length >= 2 remains (never with fill=True).
-        """
-        table, p = self.table, self.p
-        f = alpha if p[alpha] == alpha else self.find(alpha)
-        b = f
+    def fill(self, letters):
+        """Trace a subgroup word from coset 0 back to coset 0, defining
+        cosets until one gap is left, then deducing or coinciding."""
+        columns = self.columns
+        f = b = self.find(0)
         i, j = 0, len(letters) - 1
         while True:
             while i <= j:
-                t = table[f][letters[i]]
+                t = columns[letters[i]][f]
                 if t is None:
                     break
-                f = t if p[t] == t else self.find(t)
+                f = t
                 i += 1
             if i > j:
-                if f != b:
-                    self.coincide(f, b)
-                return True
+                break
             while j >= i:
-                t = table[b][letters[j] ^ 1]
+                t = columns[letters[j] ^ 1][b]
                 if t is None:
                     break
-                b = t if p[t] == t else self.find(t)
+                b = t
                 j -= 1
             if j < i:
-                if f != b:
-                    self.coincide(f, b)
-                return True
+                break
             if j == i:
-                table[f][letters[i]] = b
-                table[b][letters[i] ^ 1] = f
+                columns[letters[i]][f] = b
+                columns[letters[i] ^ 1][b] = f
                 self.deductions.append((f, letters[i]))
-                return True
-            if not fill:
-                return False
+                return
             self.define(f, letters[i])
+        if f != b:
+            self.coincide(f, b)
 
     def process_deductions(self):
-        p = self.p
-        while self.deductions:
-            a, c = self.deductions.pop()
+        """Scan every rotation that starts with a deduced entry's column
+        from its coset, and every rotation that starts with the inverse
+        column from the coset it names, most recent deduction first. A
+        scan closes the relator (or finds a coincidence), deduces its one
+        missing entry, or stops at a gap of two or more letters."""
+        columns, p, find, coincide = self.columns, self.p, self.find, self.coincide
+        deductions = self.deductions
+        get = self.rot_by_first.get
+        while deductions:
+            a, c = deductions.pop()
             if p[a] != a:
-                a = self.find(a)
-            for rot in self.rot_by_first.get(c, ()):
-                self.scan(a, rot)
-            t = self.table[a][c]
-            if t is not None:
-                b = t if p[t] == t else self.find(t)
-                for rot in self.rot_by_first.get(c ^ 1, ()):
-                    self.scan(b, rot)
+                a = find(a)
+            start = a
+            for first in (c, c ^ 1):
+                if first != c:
+                    # the deduced entry's other end, unless a scan killed a
+                    start = columns[c][a]
+                    if start is None:
+                        break
+                for i, j, letters, fwd, bwd in get(first, ()):
+                    f = b = start if p[start] == start else find(start)
+                    while i <= j:
+                        t = fwd[i][f]
+                        if t is None:
+                            break
+                        f = t
+                        i += 1
+                    else:
+                        if f != b:
+                            coincide(f, b)
+                        continue
+                    while j >= i:
+                        t = bwd[j][b]
+                        if t is None:
+                            break
+                        b = t
+                        j -= 1
+                    else:
+                        if f != b:
+                            coincide(f, b)
+                        continue
+                    if i == j:
+                        fwd[i][f] = b
+                        bwd[i][b] = f
+                        deductions.append((f, letters[i]))
 
     def first_undefined(self):
         """The lowest undefined entry of the lowest live coset, or None.
@@ -573,21 +638,20 @@ class _Enumerator:
         Scans from the cursor and leaves it at the row returned (or at the
         end of the table when it is complete).
         """
-        table, p = self.table, self.p
-        for a in range(self.cursor, len(table)):
+        columns, p = self.columns, self.p
+        for a in range(self.cursor, len(p)):
             if p[a] == a:
-                row = table[a]
-                for c in range(self.cols):
-                    if row[c] is None:
+                for c, col in enumerate(columns):
+                    if col[a] is None:
                         self.cursor = a
                         return a, c
-        self.cursor = len(table)
+        self.cursor = len(p)
         return None
 
     def run(self):
         for letters in self.subgroup_letters:
             if letters:
-                self.scan(0, letters, fill=True)
+                self.fill(letters)
                 self.process_deductions()
         while True:
             self.process_deductions()
@@ -595,14 +659,12 @@ class _Enumerator:
             if pos is None:
                 break
             self.define(*pos)
-        # Every entry is written with its mirror (table[b][c ^ 1] = a when
-        # table[a][c] = b), and a dying coset's row clears its entries'
-        # mirrors, so in the closed table a live row points only at live
-        # cosets and the walk reads the entries as they are. Every live
-        # coset has a row, so the state cap never trips here.
-        table = self.table
-        return _first_appearance(0, self.cols, lambda a, c: table[a][c],
-                                 len(table))[2]
+        # In the closed table a live row points only at live cosets (see
+        # the class docstring), so the walk reads the entries as they are.
+        # Every live coset has a row, so the state cap never trips here.
+        columns = self.columns
+        return _first_appearance(0, self.cols, lambda a, c: columns[c][a],
+                                 len(self.p))[2]
 
 
 def todd_coxeter(presentation, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):

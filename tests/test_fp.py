@@ -10,8 +10,8 @@ import pytest
 from cpgroups.cp import cp_kernel_coset_table
 from cpgroups.errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
 from cpgroups.fp import (DEFAULT_MAX_COSETS, CosetTable, FpPresentation, Word,
-                         _columns, _Enumerator, abelianization,
-                         coset_table_from_action, evaluate_word,
+                         _columns, _Enumerator, _primitive_period,
+                         abelianization, coset_table_from_action, evaluate_word,
                          kernel_coset_table, parse_presentation, parse_word,
                          reidemeister_schreier, todd_coxeter, verify_hom)
 from cpgroups.homalg import AbelianStructure, Z
@@ -196,7 +196,188 @@ def test_todd_coxeter_fuzz_random_subgroup_words():
         assert table.index == len(mulclose(perms)) // len(image), (p, words)
 
 
-class RescanEnumerator(_Enumerator):
+class RowEnumerator:
+    """The row-major enumerator that the column one replaced: table[a][c],
+    every rotation of a relator as its own tuple, one `scan` call per
+    rotation and `find` on every entry a scan reads. Kept as the reference
+    for the column enumerator's tables, definitions and budget messages."""
+
+    def __init__(self, presentation, subgroup_words, max_cosets):
+        self.ngens = presentation.ngens
+        self.cols = 2 * self.ngens
+        self.max_cosets = max_cosets
+        self.table = [[None] * self.cols]
+        self.p = [0]
+        # every live row below the cursor is complete (see first_undefined)
+        self.cursor = 0
+        self.deductions = []
+        # each distinct cyclic rotation of a relator, bucketed by its first
+        # letter in relator order; rotation k + period repeats rotation k
+        self.rot_by_first = {}
+        seen = set()
+        for rel in presentation.relators:
+            letters = _columns(rel)
+            for k in range(_primitive_period(letters) if letters else 0):
+                rot = letters[k:] + letters[:k]
+                if rot not in seen:
+                    seen.add(rot)
+                    self.rot_by_first.setdefault(rot[0], []).append(rot)
+        self.subgroup_letters = [_columns(w) for w in subgroup_words]
+
+    def find(self, i):
+        r = i
+        p = self.p
+        while p[r] != r:
+            r = p[r]
+        while p[i] != r:
+            p[i], i = r, p[i]
+        return r
+
+    def define(self, a, c):
+        if len(self.table) >= self.max_cosets:
+            live = sum(1 for i, r in enumerate(self.p) if i == r)
+            raise BudgetExhausted(
+                f"coset budget {self.max_cosets} exhausted with {live} live "
+                "cosets; index unknown (possibly infinite)")
+        b = len(self.table)
+        self.table.append([None] * self.cols)
+        self.p.append(b)
+        self.table[a][c] = b
+        self.table[b][c ^ 1] = a
+        self.deductions.append((a, c))
+
+    def _merge(self, a, b, queue):
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.p[b] = a
+        queue.append(b)
+
+    def coincide(self, a, b):
+        queue = []
+        self._merge(a, b, queue)
+        qi = 0
+        while qi < len(queue):
+            dead = queue[qi]
+            qi += 1
+            row = self.table[dead]
+            for c in range(self.cols):
+                d = row[c]
+                if d is None:
+                    continue
+                row[c] = None
+                if self.table[d][c ^ 1] == dead:
+                    # the only place an entry of a possibly live row is
+                    # emptied, so the cursor invariant is restored here
+                    self.table[d][c ^ 1] = None
+                    if d < self.cursor:
+                        self.cursor = d
+                mu = self.find(dead)
+                nu = self.find(d)
+                if self.table[mu][c] is not None:
+                    self._merge(self.find(self.table[mu][c]), nu, queue)
+                elif self.table[nu][c ^ 1] is not None:
+                    self._merge(self.find(self.table[nu][c ^ 1]), mu, queue)
+                else:
+                    self.table[mu][c] = nu
+                    self.table[nu][c ^ 1] = mu
+                    self.deductions.append((mu, c))
+
+    def scan(self, alpha, letters, fill=False):
+        """Trace `letters` from alpha back to alpha, deducing or coinciding.
+
+        Returns True once the scan is complete or produced a deduction;
+        False if a gap of length >= 2 remains (never with fill=True).
+        """
+        table, p = self.table, self.p
+        f = alpha if p[alpha] == alpha else self.find(alpha)
+        b = f
+        i, j = 0, len(letters) - 1
+        while True:
+            while i <= j:
+                t = table[f][letters[i]]
+                if t is None:
+                    break
+                f = t if p[t] == t else self.find(t)
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincide(f, b)
+                return True
+            while j >= i:
+                t = table[b][letters[j] ^ 1]
+                if t is None:
+                    break
+                b = t if p[t] == t else self.find(t)
+                j -= 1
+            if j < i:
+                if f != b:
+                    self.coincide(f, b)
+                return True
+            if j == i:
+                table[f][letters[i]] = b
+                table[b][letters[i] ^ 1] = f
+                self.deductions.append((f, letters[i]))
+                return True
+            if not fill:
+                return False
+            self.define(f, letters[i])
+
+    def process_deductions(self):
+        p = self.p
+        while self.deductions:
+            a, c = self.deductions.pop()
+            if p[a] != a:
+                a = self.find(a)
+            for rot in self.rot_by_first.get(c, ()):
+                self.scan(a, rot)
+            t = self.table[a][c]
+            if t is not None:
+                b = t if p[t] == t else self.find(t)
+                for rot in self.rot_by_first.get(c ^ 1, ()):
+                    self.scan(b, rot)
+
+    def first_undefined(self):
+        """The lowest undefined entry of the lowest live coset, or None.
+
+        Scans from the cursor and leaves it at the row returned (or at the
+        end of the table when it is complete).
+        """
+        table, p = self.table, self.p
+        for a in range(self.cursor, len(table)):
+            if p[a] == a:
+                row = table[a]
+                for c in range(self.cols):
+                    if row[c] is None:
+                        self.cursor = a
+                        return a, c
+        self.cursor = len(table)
+        return None
+
+    def run(self):
+        for letters in self.subgroup_letters:
+            if letters:
+                self.scan(0, letters, fill=True)
+                self.process_deductions()
+        while True:
+            self.process_deductions()
+            pos = self.first_undefined()
+            if pos is None:
+                break
+            self.define(*pos)
+        # Every entry is written with its mirror (table[b][c ^ 1] = a when
+        # table[a][c] = b), and a dying coset's row clears its entries'
+        # mirrors, so in the closed table a live row points only at live
+        # cosets and the walk reads the entries as they are. Every live
+        # coset has a row, so the state cap never trips here.
+        table = self.table
+        return _first_appearance(0, self.cols, lambda a, c: table[a][c],
+                                 len(table))[2]
+
+
+class RescanEnumerator(RowEnumerator):
     """The enumerator with the full rescan from coset 0 that the cursor
     replaced, kept as the reference for its definition order."""
 
@@ -228,14 +409,20 @@ def _standardize(rows):
     return out
 
 
+def table_rows(enum):
+    """The column enumerator's table as rows: table[a][c] = columns[c][a]."""
+    return [list(row) for row in zip(*enum.columns)]
+
+
 def compacted_standardized_rows(enum):
     """The rows of a closed enumeration as the compaction pass at the end of
     `_Enumerator.run` and a separate `_standardize` used to number them,
     before one first-appearance walk replaced both. Kept as the reference
     for that walk."""
-    live = [i for i in range(len(enum.table)) if enum.p[i] == i]
+    table = table_rows(enum)
+    live = [i for i in range(len(table)) if enum.p[i] == i]
     renum = {old: new for new, old in enumerate(live)}
-    return _standardize([[renum[enum.find(t)] for t in enum.table[old]] for old in live])
+    return _standardize([[renum[enum.find(t)] for t in table[old]] for old in live])
 
 
 def coxeter(n):
@@ -284,7 +471,7 @@ def find_per_entry_rows(enum):
     before it read the entries directly: `find` on every entry. Kept as
     the reference for the direct walk, which relies on live rows pointing
     only at live cosets."""
-    table = enum.table
+    table = table_rows(enum)
     return _first_appearance(0, enum.cols, lambda a, c: enum.find(table[a][c]),
                              len(table))[2]
 
@@ -298,9 +485,9 @@ def test_cursor_enumeration_matches_full_rescan():
         assert rows == slow.run(), (p, words)
         assert [tuple(r) for r in rows] == compacted_standardized_rows(fast), (p, words)
         assert rows == find_per_entry_rows(fast), (p, words)
-        assert len(fast.table) == len(slow.table), (p, words)
+        assert len(fast.p) == len(slow.table), (p, words)
         count += 1
-        with_dead_cosets += len(fast.table) > len(rows)
+        with_dead_cosets += len(fast.p) > len(rows)
     assert count == 8 + 16 + 32 + 2 * 4 + 36
     assert with_dead_cosets >= 20
 
@@ -321,6 +508,13 @@ def list_scan_rotations(presentation):
     return rot_by_first
 
 
+def rotations(enum):
+    """The column enumerator's buckets with each rotation written out as
+    the tuple of its letters' columns, as `list_scan_rotations` gives them."""
+    return {c: [letters[i:j + 1] for i, j, letters, _, _ in bucket]
+            for c, bucket in enum.rot_by_first.items()}
+
+
 def test_rotation_buckets_match_list_scan_reference():
     presentations = [p for p, _ in cursor_corpus()] + list(INFINITE.values())
     presentations += [realization(text, gens)[0] for text, gens in REALIZATIONS]
@@ -333,13 +527,109 @@ def test_rotation_buckets_match_list_scan_reference():
     )]
     for p in presentations:
         expected = list_scan_rotations(p)
-        got = _Enumerator(p, (), 10).rot_by_first
+        got = rotations(_Enumerator(p, (), 10))
         assert list(got.items()) == list(expected.items()), p
     # a power of one letter has one rotation, found in near-linear time
     start = time.perf_counter()
     enum = _Enumerator(parse_presentation("< a | a^10000 >"), (), 10)
     assert time.perf_counter() - start < 0.25
-    assert enum.rot_by_first == {0: [(0,) * 10000]}
+    assert rotations(enum) == {0: [(0,) * 10000]}
+
+
+def enumeration_outcome(enum):
+    """The rows of a closed enumeration, or the budget message, plus the
+    table and union-find forest it ended with."""
+    try:
+        result = enum.run()
+    except BudgetExhausted as exc:
+        result = str(exc)
+    table = enum.table if isinstance(enum, RowEnumerator) else table_rows(enum)
+    return result, table, enum.p
+
+
+def row_reference_corpus():
+    """(presentation, subgroup words, budget) cases for the column
+    enumerator against `RowEnumerator`."""
+    for p, words in cursor_corpus():  # fuzz_cases() included
+        yield p, words, 10_000
+    for p in INFINITE.values():
+        for budget in (50, 999, 1000, 4000):
+            yield p, [], budget
+    s7 = coxeter(7)
+    for names in (["s0", "s1"], ["s0"]):  # parabolics of index 840 and 2520
+        yield s7, [s7.word(name) for name in names], 10_000
+    # a long relator that is not a proper power: b = a^-400, so the group
+    # is infinite cyclic
+    long_relator = parse_presentation("< a, b | a^200 b a^200 >")
+    for words in ([], ["b"], ["a^7"], ["b a^3"]):
+        yield long_relator, [long_relator.word(text) for text in words], 1000
+    # coincidences that kill the start coset of a later rotation's scan
+    for text, words in (("< a | a^2, a^-3, a^-1 >", []),
+                        ("< a, b, c | c^-3 b^2 a^-2 c^-2, c^-3 a^2 b^-3, b^-1 >", ["b"])):
+        p = parse_presentation(text)
+        yield p, [p.word(word) for word in words], 300
+
+
+def test_column_enumerator_matches_row_reference():
+    indices = Counter()
+    for p, words, budget in row_reference_corpus():
+        got = enumeration_outcome(_Enumerator(p, words, budget))
+        expected = enumeration_outcome(RowEnumerator(p, words, budget))
+        # the same rows or budget message, the same cosets defined, and
+        # the same table and forest at the end
+        assert got == expected, (p, words, budget)
+        if isinstance(got[0], str):
+            indices["exhausted"] += 1
+        else:
+            indices[len(got[0])] += 1
+    # only <a^7> closes on the long relator within its budget
+    assert indices["exhausted"] == 12 + 3
+    assert indices[840] == indices[2520] == indices[7] == 1
+
+
+class CheckedEnumerator(_Enumerator):
+    """The column enumerator, checking after every coincidence that dead
+    rows are empty and live rows name only live cosets: the invariant that
+    lets scans step without `find`."""
+
+    coincidences = 0
+
+    def coincide(self, a, b):
+        super().coincide(a, b)
+        self.coincidences += 1
+        p = self.p
+        for col in self.columns:
+            for x, t in enumerate(col):
+                if t is not None:
+                    assert p[x] == x and p[t] == t, (x, t)
+
+
+def test_live_rows_name_only_live_cosets_after_each_coincidence():
+    with_dead_cosets = 0
+    for p, words in cursor_corpus():
+        enum = CheckedEnumerator(p, words, 10_000)
+        rows = enum.run()
+        assert (enum.coincidences > 0) == (len(enum.p) > len(rows)), (p, words)
+        with_dead_cosets += len(enum.p) > len(rows)
+    assert with_dead_cosets >= 20
+
+
+def test_enumerator_setup_is_linear_in_relator_length():
+    # 4,001 letters, not a proper power: 4,001 distinct rotations, each an
+    # offset into the relator stored once (every rotation as its own tuple
+    # took about 128 MB)
+    p = parse_presentation("< a, b | a^2000 b a^2000 >")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        enum = _Enumerator(p, (), 10)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert elapsed < 0.1
+    assert sum(map(len, enum.rot_by_first.values())) == 4001
 
 
 @pytest.mark.parametrize("name", sorted(INFINITE))
@@ -350,7 +640,8 @@ def test_cursor_budget_matches_full_rescan(name):
         for enum in (_Enumerator(p, (), budget), RescanEnumerator(p, (), budget)):
             with pytest.raises(BudgetExhausted) as info:
                 enum.run()
-            outcomes.append((str(info.value), enum.table, enum.p))
+            table = enum.table if isinstance(enum, RowEnumerator) else table_rows(enum)
+            outcomes.append((str(info.value), table, enum.p))
         assert outcomes[0] == outcomes[1], (name, budget)
         live = sum(1 for i, r in enumerate(outcomes[1][2]) if i == r)
         assert f"exhausted with {live} live cosets;" in outcomes[0][0]
