@@ -7,7 +7,14 @@ reduced. A presentation is a tuple of generator names plus relator words;
 
 Coset enumeration is Felsch-style: a deduction stack is processed after
 every definition, and new cosets are defined at the lowest live coset and
-lowest column first, so enumeration is deterministic. Closed tables are
+lowest column first, so enumeration is deterministic. The enumerator keeps
+its table by columns, one list per column, and each relator once, as its
+letters, their columns and their inverse columns, each doubled: a
+rotation is an offset into these, so storage is linear in the relator's
+length. Every scan runs inline in one deduction loop and steps from entry
+to entry without `find`, because outside coincidence processing live rows
+name only live cosets: every entry is written with its mirror, and a
+dying coset's row clears its entries' mirrors. Closed tables are
 standardized: cosets are numbered in first appearance order, reading the
 table row by row with columns interleaved as g, g^-1, next generator, and
 so on, so that tables, spanning trees, and Schreier generators are
@@ -16,14 +23,15 @@ reproducible across runs. One breadth-first walk, the perm module's
 only at live cosets, so dead cosets drop out on the way) and tables read
 off an action, as it numbers group elements, Cayley-graph columns and the
 cosets of G/N there. Words longer than DEFAULT_MAX_COSETS letters are
-refused before they are expanded. The enumerator keeps each
-distinct rotation of each relator once: a relator that is a k-th power of
-its primitive root has only len/k of them, so `a^10000` has one.
+refused before they are expanded. The enumerator keeps each distinct
+rotation of each relator once: a relator that is a k-th power of its
+primitive root has only len/k of them, so `a^10000` has one, and a
+relator that is a cyclic conjugate of an earlier one adds none.
 
 The lowest undefined entry is found from a cursor rather than by a rescan
 from coset 0, so choosing the next definition no longer costs a pass over
 the whole table. Every live row below the cursor is complete. Definitions
-only fill entries or append rows, and the one statement that empties an
+only fill entries or add cosets, and the one statement that empties an
 entry of a possibly live row (in coincidence processing) lowers the cursor
 to that row, so the cursor finds exactly the entry a rescan would.
 
@@ -41,7 +49,6 @@ compositions of the columns instead of e steps per coset.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
@@ -447,9 +454,10 @@ class _Enumerator:
 
     Outside coincidence processing, live rows name only live cosets: a
     dying coset's row clears its entries' mirrors before `coincide`
-    returns. So the scans, which run inline in `process_deductions`, step
-    from entry to entry without `find`; only each rotation's start coset is
-    resolved, since an earlier rotation's coincidence can kill it.
+    returns. So the scans, which run inline in the deduction loop of
+    `run`, step from entry to entry without `find`; only each rotation's
+    start coset is resolved, since an earlier rotation's coincidence can
+    kill it.
     """
 
     def __init__(self, presentation, subgroup_words, max_cosets):
@@ -463,18 +471,19 @@ class _Enumerator:
         self.deductions = []
         self.rot_by_first = {}
         # the doubled letter strings of the relators kept so far, keyed by
-        # their letter counts, which cyclic conjugates share
+        # their length and their distinct letters, which cyclic conjugates
+        # share
         kept = {}
         for rel in presentation.relators:
             letters = _columns(rel)
             if not letters:
                 continue
-            key = tuple(sorted(Counter(letters).items()))
-            # letters as characters, by rank among the relator's distinct
-            # letters; relators with one key share that code
-            code = {x: chr(r) for r, (x, _) in enumerate(key)}
+            distinct = sorted(set(letters))
+            # each letter as one character, its rank among the distinct
+            # letters, so relators with one key share the code
+            code = {x: chr(r) for r, x in enumerate(distinct)}
             s = "".join([code[x] for x in letters])
-            doubled = kept.setdefault(key, [])
+            doubled = kept.setdefault((len(s), *distinct), [])
             if any(s in t for t in doubled):
                 continue
             doubled.append(s + s)
@@ -585,53 +594,6 @@ class _Enumerator:
         if f != b:
             self.coincide(f, b)
 
-    def process_deductions(self):
-        """Scan every rotation that starts with a deduced entry's column
-        from its coset, and every rotation that starts with the inverse
-        column from the coset it names, most recent deduction first. A
-        scan closes the relator (or finds a coincidence), deduces its one
-        missing entry, or stops at a gap of two or more letters."""
-        columns, p, find, coincide = self.columns, self.p, self.find, self.coincide
-        deductions = self.deductions
-        get = self.rot_by_first.get
-        while deductions:
-            a, c = deductions.pop()
-            if p[a] != a:
-                a = find(a)
-            start = a
-            for first in (c, c ^ 1):
-                if first != c:
-                    # the deduced entry's other end, unless a scan killed a
-                    start = columns[c][a]
-                    if start is None:
-                        break
-                for i, j, letters, fwd, bwd in get(first, ()):
-                    f = b = start if p[start] == start else find(start)
-                    while i <= j:
-                        t = fwd[i][f]
-                        if t is None:
-                            break
-                        f = t
-                        i += 1
-                    else:
-                        if f != b:
-                            coincide(f, b)
-                        continue
-                    while j >= i:
-                        t = bwd[j][b]
-                        if t is None:
-                            break
-                        b = t
-                        j -= 1
-                    else:
-                        if f != b:
-                            coincide(f, b)
-                        continue
-                    if i == j:
-                        fwd[i][f] = b
-                        bwd[i][b] = f
-                        deductions.append((f, letters[i]))
-
     def first_undefined(self):
         """The lowest undefined entry of the lowest live coset, or None.
 
@@ -649,12 +611,64 @@ class _Enumerator:
         return None
 
     def run(self):
-        for letters in self.subgroup_letters:
-            if letters:
-                self.fill(letters)
-                self.process_deductions()
+        """Enumerate until the table closes, and return its standardized rows.
+
+        One loop processes the deduction stack, most recent deduction
+        first: every rotation that starts with a deduced entry's column is
+        scanned from its coset, and every rotation that starts with the
+        inverse column from the coset it names. A scan closes the relator
+        (or finds a coincidence), deduces its one missing entry, or stops
+        at a gap of two or more letters. When the stack is empty, the next
+        subgroup word is traced from coset 0, or else the lowest undefined
+        entry is defined.
+        """
+        columns, p, find, coincide = self.columns, self.p, self.find, self.coincide
+        deductions = self.deductions
+        get = self.rot_by_first.get
+        words = iter(self.subgroup_letters)
         while True:
-            self.process_deductions()
+            while deductions:
+                a, c = deductions.pop()
+                if p[a] != a:
+                    a = find(a)
+                start = a
+                for first in (c, c ^ 1):
+                    if first != c:
+                        # the deduced entry's other end, unless a scan killed a
+                        start = columns[c][a]
+                        if start is None:
+                            break
+                    for i, j, letters, fwd, bwd in get(first, ()):
+                        f = b = start if p[start] == start else find(start)
+                        while i <= j:
+                            t = fwd[i][f]
+                            if t is None:
+                                break
+                            f = t
+                            i += 1
+                        else:
+                            if f != b:
+                                coincide(f, b)
+                            continue
+                        while j >= i:
+                            t = bwd[j][b]
+                            if t is None:
+                                break
+                            b = t
+                            j -= 1
+                        else:
+                            if f != b:
+                                coincide(f, b)
+                            continue
+                        if i == j:
+                            fwd[i][f] = b
+                            bwd[i][b] = f
+                            deductions.append((f, letters[i]))
+            word = next(words, None)
+            if word is not None:
+                if word:
+                    self.fill(word)
+                continue
             pos = self.first_undefined()
             if pos is None:
                 break
@@ -662,9 +676,8 @@ class _Enumerator:
         # In the closed table a live row points only at live cosets (see
         # the class docstring), so the walk reads the entries as they are.
         # Every live coset has a row, so the state cap never trips here.
-        columns = self.columns
         return _first_appearance(0, self.cols, lambda a, c: columns[c][a],
-                                 len(self.p))[2]
+                                 len(p))[2]
 
 
 def todd_coxeter(presentation, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS):
