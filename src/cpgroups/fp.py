@@ -55,9 +55,9 @@ from .errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
 from .homalg import AbelianStructure, IntMatrix, cokernel_structure
 from .perm import Perm, _first_appearance
 
-# Also the cap on a word's letters. `_primitive_period` encodes each distinct
-# letter or syllable of a word as one character, so the cap must stay below
-# 0x110000, the number of code points.
+# Also the cap on a word's letters. `_primitive_period` and the enumerator's
+# relator setup encode each distinct letter or syllable of a word as one
+# character, so the cap must stay below 0x110000, the number of code points.
 DEFAULT_MAX_COSETS = 1_000_000
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -461,8 +461,7 @@ class _Enumerator:
     """
 
     def __init__(self, presentation, subgroup_words, max_cosets):
-        self.ngens = presentation.ngens
-        self.cols = 2 * self.ngens
+        self.cols = 2 * presentation.ngens
         self.max_cosets = max_cosets
         self.columns = columns = [[None] for _ in range(self.cols)]
         self.p = [0]
@@ -538,8 +537,7 @@ class _Enumerator:
         while qi < len(queue):
             dead = queue[qi]
             qi += 1
-            for c in range(self.cols):
-                col = columns[c]
+            for c, col in enumerate(columns):
                 d = col[dead]
                 if d is None:
                     continue
