@@ -439,7 +439,9 @@ class E2Table:
             t = k - s
             if t > self.t_max:
                 continue
-            total = total.direct_sum(self.entry(s, t))
+            entry = self.entry(s, t)
+            if not entry.is_trivial:
+                total = total.direct_sum(entry)
         return total
 
 
