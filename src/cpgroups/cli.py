@@ -125,22 +125,19 @@ def _json(value, pad, out):
     `pad`, to the list `out` in pieces, which are joined once.
 
     Dicts with str keys and lists recurse. A list of plain ints or of
-    strs is written with str.join. Every scalar, key and other container
-    goes through json.dumps (ints through int.__repr__, as json does), so
-    the bytes are the same. (indent=2 on the whole payload would run it
-    all through json's pure-Python encoder.)"""
-    if type(value) is int:
-        out.append(str(value))
-        return
+    strs is written with str.join. Every scalar and key goes through
+    `_scalar`, as in the text format, and every other container through
+    json.dumps, so the bytes are the same. (indent=2 on the whole payload
+    would run it all through json's pure-Python encoder.)"""
     if not isinstance(value, (dict, list, tuple)):
-        out.append(json.dumps(value))  # indent changes containers only
+        out.append(_scalar(value))  # indent changes containers only
         return
     inner = pad + "  "
     types = set(map(type, value))
     if type(value) is dict and value and types == {str}:
         head = "{\n" + inner
         for k, v in value.items():
-            out.append(f"{head}{json.dumps(k)}: ")
+            out.append(f"{head}{_scalar(k)}: ")
             _json(v, inner, out)
             head = ",\n" + inner
         out.append("\n" + pad + "}")
@@ -149,7 +146,7 @@ def _json(value, pad, out):
     elif types == {int}:
         out.append(_lines(map(str, value), pad))
     elif types == {str}:
-        out.append(_lines(map(json.dumps, value), pad))
+        out.append(_lines(map(_scalar, value), pad))
     else:
         head = "[\n" + inner
         for v in value:
@@ -354,12 +351,8 @@ def cmd_s6(args):
 
 def cmd_e2_table(args):
     table = lhs_e2_table(args.m, args.n, args.p, args.s_max, args.t_max)
-    entries = []
-    for s in range(args.s_max + 1):
-        for t in range(args.t_max + 1):
-            entry = table.entry(s, t)
-            if not entry.is_trivial:
-                entries.append({"s": s, "t": t, "entry": entry.as_dict()})
+    entries = [{"s": s, "t": t, "entry": entry.as_dict()}
+               for s, t, entry in table.nonzero_entries()]
     return {"m": args.m, "n": args.n, "p": args.p,
             "s_max": args.s_max, "t_max": args.t_max,
             "nonzero_entries": entries,
@@ -513,7 +506,13 @@ def run(argv=None):
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = f"{type(exc).__name__}: {exc}"
+        if type(exc) is MemoryError and not str(exc):  # as the interpreter raises it
+            budget = ("--max-cosets" if hasattr(args, "max_cosets")
+                      else "--budget" if hasattr(args, "budget") else None)
+            message = ("out of memory; " + (f"a smaller {budget} or " if budget else "")
+                       + "a larger memory limit may let the command finish")
+        print(f"internal error: {message}", file=sys.stderr)
         return 4
     try:
         print(render(payload, args.format))

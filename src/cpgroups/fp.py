@@ -40,10 +40,14 @@ entries checks that every column is a bijection and that cosets appear in
 order, and records each coset's first entry as its spanning-tree edge,
 which coset representatives and Schreier edges are read from. Every
 relator must then act as the identity on the cosets, and the subgroup
-words must fix coset 0. A relator's action is the columns of its
-syllables composed as lists, with a power g^e, and a relator that is a
-power of its primitive root, composed by repeated squaring: log e
-compositions of the columns instead of e steps per coset.
+words must fix coset 0.
+
+One routine, `_word_action`, computes what a word does: the columns of
+its syllables composed as lists, with a power g^e, and a word that is a
+power of its primitive root, composed by repeated squaring (the perm
+module's `_power`, which Perm powers use too): log e compositions instead
+of e steps per point. Relators and subgroup words act on a table's
+columns; `evaluate_word` and `verify_hom` act on permutation images.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExhausted, CapExceeded, PresentationSyntaxError
 from .homalg import AbelianStructure, IntMatrix, cokernel_structure
-from .perm import Perm, _first_appearance
+from .perm import Perm, _first_appearance, _invert, _power
 
 # Also the cap on a word's letters. `_primitive_period` and the enumerator's
 # relator setup encode each distinct letter or syllable of a word as one
@@ -99,10 +103,7 @@ class Word:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.syllables * k)  # reduced once, not after each factor
 
     def letter_count(self):
         return sum(abs(e) for _, e in self.syllables)
@@ -115,10 +116,7 @@ class Word:
 
     def substitute(self, images):
         """Replace generator g by images[g] throughout (an endomorphism)."""
-        out = Word()
-        for g, e in self.syllables:
-            out = out * (images[g] ** e)
-        return out
+        return Word(tuple(s for g, e in self.syllables for s in (images[g] ** e).syllables))
 
     def render(self, names):
         if not self.syllables:
@@ -156,31 +154,22 @@ def _primitive_period(seq):
     return (s + s).find(s, 1)
 
 
-def _power_action(perm, e):
-    """perm composed with itself e >= 1 times, by repeated squaring."""
-    out = None
-    while True:
-        if e & 1:
-            out = perm if out is None else [perm[x] for x in out]
-        e >>= 1
-        if not e:
-            return out
-        perm = [perm[x] for x in perm]
-
-
 def _word_action(columns, syllables, identity):
-    """The map a -> the coset that tracing the word from a reaches, as a
-    list: the columns of its syllables composed in order. A syllable g^e,
-    and a word that is a power of its primitive root, take log e
-    compositions by repeated squaring."""
+    """The map a -> the point that tracing the word from a reaches, as a
+    list: the columns of its syllables composed in order. columns[2*g] is
+    what g does and columns[2*g + 1] what g^-1 does, as image lists or
+    tuples: a coset table's columns, or permutation images. A syllable
+    g^e, and a word that is a power of its primitive root, take log e
+    compositions by repeated squaring. The only code that computes what a
+    word does; callers check the letter count first."""
     if not syllables:
         return identity
     k = _primitive_period(syllables)
     out = identity
     for g, e in syllables[:k]:
-        step = _power_action(columns[2 * g + (e < 0)], abs(e))
+        step = _power(columns[2 * g + (e < 0)], abs(e))
         out = step if out is identity else [step[x] for x in out]
-    return _power_action(out, len(syllables) // k)
+    return _power(out, len(syllables) // k)
 
 
 @dataclass(frozen=True)
@@ -329,9 +318,10 @@ class CosetTable:
     Rows are cosets (0 is the subgroup itself); columns are interleaved
     g0, g0^-1, g1, g1^-1, ... The table is closed, compressed, and numbered
     in first appearance order. All invariants are checked on construction:
-    one scan of the entries checks the columns and the order, and each
+    one scan of the entries checks the columns and the order; then each
     relator's action, composed from its syllables' columns with powers by
-    repeated squaring, must fix every coset.
+    repeated squaring (`_word_action`), must fix every coset, and each
+    subgroup word's action, composed the same way, must fix coset 0.
     """
 
     def __init__(self, presentation, subgroup_words, rows):
@@ -381,17 +371,9 @@ class CosetTable:
                 a = next(a for a in identity if action[a] != a)
                 raise ValueError(f"relator does not close at coset {a}")
         for w in self.subgroup_words:
-            if self.trace(0, w) != 0:
+            _check_letter_count(w)
+            if _word_action(columns, w.syllables, identity)[0] != 0:
                 raise ValueError("subgroup word does not fix coset 0")
-
-    def _walk(self, coset, columns):
-        rows = self.rows
-        for c in columns:
-            coset = rows[coset][c]
-        return coset
-
-    def trace(self, coset, word):
-        return self._walk(coset, _columns(word))
 
     def coset_representative_words(self):
         """Word reaching each coset from coset 0 along the spanning tree."""
@@ -694,18 +676,21 @@ def todd_coxeter(presentation, subgroup_words=(), max_cosets=DEFAULT_MAX_COSETS)
 
 
 def evaluate_word(word, images):
-    """Evaluate a word at permutation images of the generators.
+    """Evaluate a word at permutation images of the generators, all of one
+    degree (mixed degrees are refused, whatever the word).
 
-    The word is walked as its coset table columns (`_columns`), so a word
-    of more than DEFAULT_MAX_COSETS letters raises CapExceeded.
+    The images' tuples and their inverses' are composed syllable by
+    syllable by `_word_action`, with powers by repeated squaring, so
+    `a^999997` takes about 40 compositions. A word of more than
+    DEFAULT_MAX_COSETS letters raises CapExceeded, as everywhere else.
     """
     if not images:
         raise ValueError("no images to evaluate at")
-    steps = [x for g in images for x in (g, g.inverse())]
-    out = Perm.identity(images[0].degree)
-    for c in _columns(word):
-        out = out * steps[c]
-    return out
+    if len({g.degree for g in images}) > 1:
+        raise ValueError("images have mixed degrees")
+    _check_letter_count(word)
+    columns = [c for g in images for c in (g.images, _invert(g.images))]
+    return Perm._raw(tuple(_word_action(columns, word.syllables, range(images[0].degree))))
 
 
 def verify_hom(presentation, images):
@@ -713,15 +698,9 @@ def verify_hom(presentation, images):
     if len(images) != len(presentation.generators):
         raise ValueError(
             f"{len(presentation.generators)} generators but {len(images)} images")
-    degrees = {g.degree for g in images}
-    if len(degrees) > 1:
-        raise ValueError("images have mixed degrees")
-    if not images:
-        return True
-    for rel in presentation.relators:
-        if not evaluate_word(rel, images).is_identity():
-            return False
-    return True
+    # with no relators, the empty word still has `evaluate_word` check the images
+    return not images or all(evaluate_word(rel, images).is_identity()
+                             for rel in presentation.relators or (Word(),))
 
 
 def coset_table_from_action(presentation, initial, act, max_states):

@@ -412,7 +412,10 @@ class E2Table:
 
     Entry (s, t) is Z at the origin, Z_{mn} on the odd part of the t-axis,
     Z_p on the odd part of the s-axis, and 0 elsewhere; all differentials
-    vanish, so anti-diagonal sums reassemble the homology of Z_{mnp}.
+    vanish, so anti-diagonal sums reassemble the homology of Z_{mnp}. Only
+    the axes can be nontrivial, so listing the nontrivial entries and
+    summing an anti-diagonal read O(s_max + t_max) and O(1) cells, not the
+    whole window.
     """
 
     m: int
@@ -432,16 +435,22 @@ class E2Table:
             return cyclic(self.p)
         return TRIVIAL
 
+    def nonzero_entries(self):
+        """The nontrivial entries in the window as (s, t, entry) triples, in
+        row order: row 0 along the t-axis, then the s-axis below it."""
+        cells = [(0, t) for t in range(self.t_max + 1) if t == 0 or t % 2 == 1]
+        cells += [(s, 0) for s in range(1, self.s_max + 1, 2)]
+        return [(s, t, e) for s, t in cells if not (e := self.entry(s, t)).is_trivial]
+
     def anti_diagonal(self, k):
-        """Direct sum of the entries with s + t = k inside the table window."""
+        """Direct sum of the entries with s + t = k inside the table window:
+        of (0, k) and (k, 0), the only cells there that can be nontrivial."""
         total = TRIVIAL
-        for s in range(0, min(k, self.s_max) + 1):
-            t = k - s
-            if t > self.t_max:
-                continue
-            entry = self.entry(s, t)
-            if not entry.is_trivial:
-                total = total.direct_sum(entry)
+        for s, t in [(0, k), (k, 0)] if k else [(0, 0)]:
+            if 0 <= s <= self.s_max and 0 <= t <= self.t_max:
+                entry = self.entry(s, t)
+                if not entry.is_trivial:
+                    total = total.direct_sum(entry)
         return total
 
 

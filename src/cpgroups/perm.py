@@ -128,16 +128,10 @@ class Perm:
         return Perm._raw(_invert(self.images))
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(len(self.images))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if k == 0:
+            return Perm.identity(len(self.images))
+        images = self.images if k > 0 else _invert(self.images)
+        return Perm._raw(tuple(_power(images, abs(k))))
 
     def is_identity(self):
         return all(i == x for i, x in enumerate(self.images))
@@ -190,6 +184,20 @@ def _invert(images):
     for i, x in enumerate(images):
         inv[x] = i
     return tuple(inv)
+
+
+def _power(images, e):
+    """Image list or tuple composed with itself e >= 1 times, by repeated
+    squaring: log e compositions. The only power routine: Perm powers and
+    the fp module's word actions both use it."""
+    out = None
+    while True:
+        if e & 1:
+            out = images if out is None else [images[x] for x in out]
+        e >>= 1
+        if not e:
+            return out
+        images = [images[x] for x in images]
 
 
 def _compose(g, v):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cpgroups import cli, cp, fp
+from cpgroups import cli, cp, fp, knot
 from cpgroups.fp import DEFAULT_MAX_COSETS
 from cpgroups.perm import (DEFAULT_AUT_NODE_BUDGET, klein_four_group,
                            symmetric_group)
@@ -125,6 +125,25 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(fp, "todd_coxeter", interrupt)
     with pytest.raises(KeyboardInterrupt):
         cli.run(["rs", "--presentation", "< a | a^5 >"])
+
+
+def test_bare_memory_error_names_the_budget(capsys, monkeypatch):
+    # the interpreter raises MemoryError() with no message when an
+    # allocation fails; the line then says what may let the command finish
+    def fail(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(fp, "todd_coxeter", fail)
+    monkeypatch.setattr(cp, "verify_s6_pipeline", fail)
+    monkeypatch.setattr(knot, "torus_preimage_exists", fail)
+    for argv, budget in ((["coset-enum", "--presentation", "< a | a^5 >"], "--max-cosets"),
+                         (["s6", "--p", "2"], "--budget"), (["torus-cover", "3", "2", "5"], "")):
+        assert cli.run(argv) == 4, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == ("internal error: out of memory; "
+                                + (f"a smaller {budget} or " if budget else "")
+                                + "a larger memory limit may let the command finish\n"), argv
 
 
 def test_budget_exit_code(capsys):
@@ -377,7 +396,7 @@ def doc_payloads():
 
 def test_json_render_matches_indented_dumps():
     # the reference is the renderer it replaced, json.dumps(indent=2)
-    for payload in doc_payloads() + RENDER_CORPUS:
+    for payload in doc_payloads() + RENDER_CORPUS + TEXT_CORPUS:
         assert cli.render(payload, "json") == json.dumps(payload, indent=2), payload
 
 

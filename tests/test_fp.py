@@ -845,6 +845,77 @@ def test_verify_hom_refuses_words_too_long_to_expand():
     with pytest.raises(CapExceeded,
                        match="word of 1000001 letters exceeds cap 1000000"):
         verify_hom(p, [Perm.identity(1)])
+    with pytest.raises(CapExceeded, match="exceeds cap 1000000"):
+        evaluate_word(p.relators[0], [Perm.identity(1)])
+
+
+def letter_evaluate(word, images):
+    """`evaluate_word` as it was before it composed syllables by
+    `_word_action`: one Perm product per letter. Kept as its reference."""
+    if not images:
+        raise ValueError("no images to evaluate at")
+    steps = [x for g in images for x in (g, g.inverse())]
+    out = Perm.identity(images[0].degree)
+    for c in _columns(word):
+        out = out * steps[c]
+    return out
+
+
+def test_evaluate_word_matches_letter_reference():
+    count = 0
+    for p, perms, words in fuzz_cases():
+        for word in words + list(p.relators):
+            assert evaluate_word(word, perms) == letter_evaluate(word, perms), (p, word)
+            count += 1
+    # seeded words with exponents up to 10^5, a third of them proper powers
+    rng = random.Random(33)
+    for _ in range(20):
+        degree, ngens = rng.randint(1, 9), rng.randint(1, 3)
+        perms = [Perm(rng.sample(range(degree), degree)) for _ in range(ngens)]
+        root = Word(tuple((rng.randrange(ngens),
+                           rng.choice([-1, 1]) * rng.choice([1, 2, 3, rng.randint(1, 10 ** 5)]))
+                          for _ in range(rng.randint(1, 4))))
+        word = root ** rng.choice([1, 1, 2, 3])
+        assert evaluate_word(word, perms) == letter_evaluate(word, perms), (perms, word)
+        count += 1
+    assert count == 198
+    assert evaluate_word(Word(((0, 10 ** 5),)), [Perm((1, 2, 0))]) == Perm((1, 2, 0))
+    assert evaluate_word(Word(), [Perm((1, 0))]) == Perm.identity(2)
+
+
+def test_evaluate_word_refuses_bad_images():
+    a, b = parse_cycles("(1 2 3)"), parse_cycles("(1 2)")
+    with pytest.raises(ValueError, match="no images"):
+        evaluate_word(Word(), [])
+    # refused whatever the word, even one that never multiplies a by b
+    for word in (Word(), Word(((0, 1),)), Word(((0, 1), (1, 1)))):
+        with pytest.raises(ValueError, match="mixed degrees"):
+            evaluate_word(word, [a, b])
+    with pytest.raises(ValueError, match="mixed degrees"):
+        verify_hom(parse_presentation("< a, b | >"), [a, b])
+
+
+def test_word_powers_and_substitution_match_iterated_products():
+    def product(factors):
+        out = Word()
+        for x in factors:
+            out = out * x
+        return out
+
+    rng = random.Random(34)
+    for _ in range(150):
+        ngens = rng.randint(1, 3)
+        u = random_word(rng, ngens)
+        v = random_word(rng, ngens)
+        for word in (u, v * u * v.inverse(), u * v.inverse() ** 2):
+            for k in range(-5, 6):
+                factor = word if k > 0 else word.inverse()
+                assert word ** k == product([factor] * abs(k)), (word, k)
+        images = [random_word(rng, ngens) for _ in range(ngens)]
+        images[0] = v * images[0] * v.inverse()  # cancels across the seams
+        expected = product(images[g] if e > 0 else images[g].inverse()
+                           for g, e in u.syllables for _ in range(abs(e)))
+        assert u.substitute(images) == expected, (u, images)
 
 
 def test_kernel_coset_table_trefoil():

@@ -6,7 +6,7 @@ import pytest
 
 from cpgroups import cli
 from cpgroups.fp import reidemeister_schreier, todd_coxeter
-from cpgroups.homalg import (AbelianStructure, IntMatrix, TRIVIAL, Z, _hermite,
+from cpgroups.homalg import (AbelianStructure, E2Table, IntMatrix, TRIVIAL, Z, _hermite,
                              cokernel_structure, cyclic, cyclic_homology,
                              five_term_from_multiplication, lhs_e2_table,
                              smith_diagonal, smith_normal_form, tensor_with_zp)
@@ -468,6 +468,32 @@ def test_e2_anti_diagonals_reassemble_cyclic_homology():
         table = lhs_e2_table(m, n, p)
         for k in range(7):
             assert table.anti_diagonal(k) == cyclic_homology(m * n * p, k), (m, n, p, k)
+
+
+def cell_scan(table):
+    """`nonzero_entries` and `anti_diagonal` as they were before they read
+    only the axes: every cell of the window, kept as their reference."""
+    entries = [(s, t, table.entry(s, t)) for s in range(table.s_max + 1)
+               for t in range(table.t_max + 1) if not table.entry(s, t).is_trivial]
+    diagonals = []
+    for k in range(table.s_max + table.t_max + 2):
+        total = TRIVIAL
+        for s in range(min(k, table.s_max) + 1):
+            if k - s <= table.t_max and not table.entry(s, k - s).is_trivial:
+                total = total.direct_sum(table.entry(s, k - s))
+        diagonals.append(total)
+    return entries, diagonals
+
+
+def test_e2_nonzero_entries_match_cell_scan():
+    for m, n, p in [(3, 2, 5), (5, 3, 2), (1, 1, 1), (1, 1, 7), (4, 1, 1)]:
+        for s_max in range(9):
+            for t_max in range(9):
+                table = E2Table(m, n, p, s_max, t_max)
+                entries, diagonals = cell_scan(table)
+                assert table.nonzero_entries() == entries, (m, n, p, s_max, t_max)
+                assert [table.anti_diagonal(k) for k in range(len(diagonals))] == diagonals
+                assert table.anti_diagonal(-1) == TRIVIAL
 
 
 def test_five_term():

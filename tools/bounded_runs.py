@@ -71,6 +71,9 @@ GB = 1000000  # KiB
 CASES = (
     Case("trefoil-budget", ("coset-enum", "--presentation", "< a, b | a^3 = b^2 >"), 300,
          160000, exit=3, stderr="exhausted with 1000000 live cosets"),
+    Case("trefoil-low-memory", ("coset-enum", "--presentation", "< a, b | a^3 = b^2 >"), 300,
+         100000, exit=4, stderr="internal error: out of memory; a smaller --max-cosets or a "
+         "larger memory limit may let the command finish\n"),
     Case("relator-too-long", ("coset-enum", "--presentation", "< a | a^99999999999999 >"), 10,
          exit=2),
     Case("coset-enum-z2001", ("coset-enum", "--presentation", "< a | a^2001 >"), 10,
@@ -109,8 +112,8 @@ CASES = (
     Case("series-s8", ("series", "--group", "S8", "--p", "2", "--depth", "6"), 10),
     Case("series-s5-big-p",
          ("series", "--group", "S5", "--p", "2305843009213693951", "--depth", "1"), 10),
-    Case("e2-table-2000", ("e2-table", "3", "2", "5", "--s-max", "2000", "--t-max", "2000"), 10,
-         lines=("verified_degrees.2000=2000",)),
+    Case("e2-table-20000", ("e2-table", "3", "2", "5", "--s-max", "20000", "--t-max", "20000"),
+         10, lines=("verified_degrees.20000=20000",)),
     Case("verify-all", ("verify", "all", "--format", "json"), 60, optimize=True,
          check=lambda d: d["passed"] == d["total"] > 0),
 )
